@@ -61,19 +61,65 @@ void BM_CoreDecomposition(benchmark::State& state) {
 }
 BENCHMARK(BM_CoreDecomposition)->Unit(benchmark::kMillisecond);
 
+// Machine-independent cost of the propagations timed: vertices settled and
+// heap entries sifted, per call.
+void ReportPropagationWork(benchmark::State& state, double settled,
+                           double sift_steps) {
+  state.counters["settled_per_call"] =
+      benchmark::Counter(settled, benchmark::Counter::kAvgIterations);
+  state.counters["sift_steps_per_call"] =
+      benchmark::Counter(sift_steps, benchmark::Counter::kAvgIterations);
+}
+
 void BM_Propagation(benchmark::State& state) {
   const Workload& w = DefaultWorkload();
   PropagationEngine engine(w.graph);
   const double theta = static_cast<double>(state.range(0)) / 100.0;
   VertexId v = 0;
+  double settled = 0.0;
+  double sift_steps = 0.0;
   for (auto _ : state) {
     const VertexId seeds[1] = {v};
     auto result = engine.Compute(seeds, theta);
     benchmark::DoNotOptimize(result.score);
+    settled += static_cast<double>(engine.last_settled());
+    sift_steps += static_cast<double>(engine.last_sift_steps());
     v = static_cast<VertexId>((v + 7919) % w.graph.NumVertices());
   }
+  ReportPropagationWork(state, settled, sift_steps);
 }
 BENCHMARK(BM_Propagation)->Arg(10)->Arg(20)->Arg(30)->Unit(benchmark::kMicrosecond);
+
+// The offline precompute shape (Algorithm 2): the whole r-hop ball of a
+// center seeds one propagation at θ_min. Balls are extracted up front so only
+// the propagation is timed.
+void BM_PropagationBall(benchmark::State& state) {
+  const Workload& w = DefaultWorkload();
+  const auto radius = static_cast<std::uint32_t>(state.range(0));
+  const double theta_min = PrecomputeOptions().thetas.front();
+  HopExtractor extractor(w.graph);
+  LocalGraph lg;
+  std::vector<std::vector<VertexId>> balls;
+  VertexId v = 0;
+  for (int i = 0; i < 64; ++i) {
+    extractor.Extract(v, radius, {}, &lg);
+    balls.push_back(lg.global_ids);
+    v = static_cast<VertexId>((v + 7919) % w.graph.NumVertices());
+  }
+  PropagationEngine engine(w.graph);
+  std::size_t next = 0;
+  double settled = 0.0;
+  double sift_steps = 0.0;
+  for (auto _ : state) {
+    auto result = engine.Compute(balls[next], theta_min);
+    benchmark::DoNotOptimize(result.score);
+    settled += static_cast<double>(engine.last_settled());
+    sift_steps += static_cast<double>(engine.last_sift_steps());
+    next = (next + 1) % balls.size();
+  }
+  ReportPropagationWork(state, settled, sift_steps);
+}
+BENCHMARK(BM_PropagationBall)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 void BM_SeedExtraction(benchmark::State& state) {
   const Workload& w = DefaultWorkload();

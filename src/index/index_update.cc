@@ -5,73 +5,11 @@
 #include <utility>
 
 #include "common/check.h"
+#include "influence/propagation.h"
 
 namespace topl {
 
 namespace {
-
-/// A reverse-influence source: endpoint `vertex` of a modified arc, seeded
-/// with that arc's own probability `arc_prob` = p(vertex → other endpoint).
-struct InfluenceSource {
-  VertexId vertex;
-  double arc_prob;
-};
-
-/// Marks every vertex s whose propagation can cross a modified arc with
-/// total probability ≥ theta_min: upp(s, a) · p(a→b) ≥ theta_min for some
-/// modified arc a→b (a = source.vertex). OR-s into `reached` (size n).
-///
-/// One multi-source max-product Dijkstra over reverse arcs: relaxing x → y
-/// uses p(y→x), so the settled product at y is
-/// max_src max-path-product(y → src) · p(src→other) — the largest total
-/// probability any changed path starting at y can carry up to and across the
-/// modified arc (the suffix beyond it only shrinks the product). Seeding
-/// with the arc probability instead of 1.0 buys roughly one hop of
-/// tightness. Mirrors PropagationEngine::Compute (including its θ cut) so
-/// the two sides of the dirtiness argument use the same arithmetic.
-void MarkReverseInfluence(const Graph& g,
-                          const std::vector<InfluenceSource>& sources,
-                          double theta_min, const std::vector<float>& prob_uv,
-                          const std::vector<float>& prob_vu,
-                          std::vector<char>* reached) {
-  struct HeapEntry {
-    double prob;
-    VertexId vertex;
-    bool operator<(const HeapEntry& other) const { return prob < other.prob; }
-  };
-  std::vector<double> best(g.NumVertices(), 0.0);
-  std::vector<HeapEntry> heap;
-  for (const InfluenceSource& s : sources) {
-    if (s.arc_prob < theta_min || s.arc_prob == 0.0) continue;
-    if (s.arc_prob <= best[s.vertex]) continue;  // weaker duplicate source
-    best[s.vertex] = s.arc_prob;
-    heap.push_back({s.arc_prob, s.vertex});
-  }
-  std::make_heap(heap.begin(), heap.end());
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end());
-    const HeapEntry top = heap.back();
-    heap.pop_back();
-    if (top.prob < best[top.vertex]) continue;  // stale
-    (*reached)[top.vertex] = 1;
-    best[top.vertex] = 2.0;  // settled
-    for (const Graph::Arc& arc : g.Neighbors(top.vertex)) {
-      // Traversing x → y backwards: the forward arc is y → x, whose
-      // probability sits in the directional slot picked by the canonical
-      // (u < v) endpoint order of the shared undirected edge.
-      const double p_reverse = arc.to < top.vertex
-                                   ? static_cast<double>(prob_uv[arc.edge])
-                                   : static_cast<double>(prob_vu[arc.edge]);
-      const double candidate = top.prob * p_reverse;
-      if (candidate < theta_min || candidate == 0.0) continue;
-      if (candidate > best[arc.to]) {
-        best[arc.to] = candidate;
-        heap.push_back({candidate, arc.to});
-        std::push_heap(heap.begin(), heap.end());
-      }
-    }
-  }
-}
 
 /// Marks every vertex within `depth` structural hops of a seed (seeds come
 /// pre-marked in `seed_mask`), OR-ing into `dirty`.
@@ -176,16 +114,31 @@ std::vector<VertexId> IndexUpdater::DirtyCenters(
   TOPL_CHECK(updated.NumVertices() == n,
              "IndexUpdater: delta must preserve the vertex set");
 
-  // Reverse-influence frontier: a destroyed optimal path lived in the old
-  // graph and crossed a deleted arc; a created one lives in the new graph
-  // and crosses an inserted arc. Each pass is seeded with the modified arcs
-  // of its own graph, carrying their own probabilities.
+  // Reverse-influence frontier: every vertex y whose propagation can cross a
+  // modified arc a→b with total probability ≥ theta_min, i.e.
+  // upp(y, a) · p(a→b) ≥ theta_min. A destroyed optimal path lived in the
+  // old graph and crossed a deleted arc; a created one lives in the new graph
+  // and crosses an inserted arc. Each pass is one reverse propagation over
+  // its own graph, seeded at the modified arcs' tails with the arcs' own
+  // probabilities: that is the largest total probability any changed path
+  // starting at y can carry up to and across the modified arc (the suffix
+  // beyond it only shrinks the product), and seeding with the arc
+  // probability instead of 1.0 buys roughly one hop of tightness. The same
+  // kernel and θ cut as the forward propagation keep both sides of the
+  // dirtiness argument on the same arithmetic.
   std::vector<char> seed_mask(n, 0);
+  PropagationEngine engine(updated);
+  std::vector<float> prob_uv;
+  std::vector<float> prob_vu;
+  std::vector<WeightedSeed> sources;
+  const auto mark_reverse_influence = [&](const Graph& g) {
+    const InfluencedCommunity reached =
+        engine.ComputeReverse(g, sources, theta_min, prob_uv, prob_vu);
+    for (VertexId y : reached.vertices) seed_mask[y] = 1;
+  };
   if (!delta.edge_deletes.empty()) {
-    std::vector<float> prob_uv;
-    std::vector<float> prob_vu;
     CollectEdgeProbabilities(base, &prob_uv, &prob_vu);
-    std::vector<InfluenceSource> sources;
+    sources.clear();
     for (const GraphDelta::EdgeRef& e : delta.edge_deletes) {
       const EdgeId id = base.FindEdge(e.u, e.v);
       TOPL_CHECK(id != kInvalidEdge, "validated delete vanished from base");
@@ -195,19 +148,16 @@ std::vector<VertexId> IndexUpdater::DirtyCenters(
       sources.push_back({lo, static_cast<double>(prob_uv[id])});
       sources.push_back({hi, static_cast<double>(prob_vu[id])});
     }
-    MarkReverseInfluence(base, sources, theta_min, prob_uv, prob_vu, &seed_mask);
+    mark_reverse_influence(base);
   }
   if (!delta.edge_inserts.empty()) {
-    std::vector<float> prob_uv;
-    std::vector<float> prob_vu;
     CollectEdgeProbabilities(updated, &prob_uv, &prob_vu);
-    std::vector<InfluenceSource> sources;
+    sources.clear();
     for (const GraphDelta::EdgeInsert& e : delta.edge_inserts) {
       sources.push_back({e.u, static_cast<double>(e.prob_uv)});
       sources.push_back({e.v, static_cast<double>(e.prob_vu)});
     }
-    MarkReverseInfluence(updated, sources, theta_min, prob_uv, prob_vu,
-                         &seed_mask);
+    mark_reverse_influence(updated);
   }
   if (influence_frontier != nullptr) {
     *influence_frontier = static_cast<std::size_t>(
