@@ -121,17 +121,26 @@ void BM_PropagationBall(benchmark::State& state) {
 }
 BENCHMARK(BM_PropagationBall)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
+// Per call: centers the ego-net test rejected before the ball BFS, and
+// centers that yielded a community.
 void BM_SeedExtraction(benchmark::State& state) {
   const Workload& w = DefaultWorkload();
   SeedCommunityExtractor extractor(w.graph);
   const Query query = DefaultQuery();
   SeedCommunity community;
   VertexId v = 0;
+  double ego_rejected = 0.0;
+  double found = 0.0;
   for (auto _ : state) {
-    extractor.Extract(v, query, &community);
+    found += extractor.Extract(v, query, &community) ? 1.0 : 0.0;
+    ego_rejected += extractor.last_ego_rejected() ? 1.0 : 0.0;
     benchmark::DoNotOptimize(community.vertices.data());
     v = static_cast<VertexId>((v + 7919) % w.graph.NumVertices());
   }
+  state.counters["ego_rejected_per_call"] =
+      benchmark::Counter(ego_rejected, benchmark::Counter::kAvgIterations);
+  state.counters["found_per_call"] =
+      benchmark::Counter(found, benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_SeedExtraction)->Unit(benchmark::kMicrosecond);
 

@@ -56,7 +56,9 @@ Result<TopLResult> ATIndex::Search(const Query& query,
 
     ++stats.candidates_refined;
     CommunityResult candidate;
-    if (!extractor.Extract(v, query, &candidate.community)) continue;
+    const bool found_community = extractor.Extract(v, query, &candidate.community);
+    stats.ego_rejected += extractor.last_ego_rejected();
+    if (!found_community) continue;
     ++stats.communities_found;
     candidate.influence = engine.Compute(candidate.community.vertices, query.theta);
     found.push_back(std::move(candidate));

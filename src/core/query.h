@@ -90,6 +90,9 @@ struct QueryStats {
 
   std::uint64_t candidates_refined = 0;   // extractions attempted
   std::uint64_t communities_found = 0;    // non-empty seed communities
+  /// Refined candidates the extractor's ego-net test rejected before
+  /// materializing their ball (a subset of the ones not found).
+  std::uint64_t ego_rejected = 0;
 
   /// Triangle-substrate counters (truss/local_truss.h): alive triangles
   /// enumerated while verifying candidates, and fixpoint kill rounds whose
@@ -120,6 +123,7 @@ struct QueryStats {
     pruned_termination += other.pruned_termination;
     candidates_refined += other.candidates_refined;
     communities_found += other.communities_found;
+    ego_rejected += other.ego_rejected;
     triangles_inspected += other.triangles_inspected;
     support_recomputes_avoided += other.support_recomputes_avoided;
     waves += other.waves;
@@ -136,6 +140,7 @@ struct QueryStats {
            " pruned_termination=" + std::to_string(pruned_termination) +
            " refined=" + std::to_string(candidates_refined) +
            " found=" + std::to_string(communities_found) +
+           " ego_rejected=" + std::to_string(ego_rejected) +
            " triangles=" + std::to_string(triangles_inspected) +
            " recomputes_avoided=" + std::to_string(support_recomputes_avoided) +
            " waves=" + std::to_string(waves) +

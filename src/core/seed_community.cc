@@ -63,6 +63,47 @@ bool SeedCommunityExtractor::CollectOutOfRadius(const LocalGraph& ball,
   return !doomed_.empty();
 }
 
+bool SeedCommunityExtractor::EgoNetAdmits(VertexId center,
+                                           const Query& query) {
+  if (query.k < 2) return true;
+  const std::uint32_t need = query.k - 2;
+  // An empty keyword list filters nothing, as in HopExtractor::Extract.
+  const auto holds_keyword = [&](VertexId v) {
+    return query.keywords.empty() ||
+           HopExtractor::HasAnyKeyword(*graph_, v, query.keywords);
+  };
+  if (!holds_keyword(center)) return false;
+
+  ego_.clear();
+  for (const Graph::Arc& arc : graph_->Neighbors(center)) {
+    if (holds_keyword(arc.to)) ego_.push_back(arc.to);
+  }
+  // u itself plus `need` distinct apexes must all lie in N_Q(center).
+  if (ego_.size() <= need) return false;
+  if (need == 0) return true;
+
+  for (const VertexId u : ego_) {
+    // Both lists are sorted by vertex id: count N(u) ∩ N_Q(center) by merge.
+    const auto arcs = graph_->Neighbors(u);
+    if (arcs.size() <= need) continue;  // the center plus `need` apexes
+    std::uint32_t common = 0;
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i < arcs.size() && j < ego_.size()) {
+      if (arcs[i].to == ego_[j]) {
+        if (++common == need) return true;
+        ++i;
+        ++j;
+      } else if (arcs[i].to < ego_[j]) {
+        ++i;
+      } else {
+        ++j;
+      }
+    }
+  }
+  return false;
+}
+
 bool SeedCommunityExtractor::Extract(VertexId center, const Query& query,
                                      Mode mode, SeedCommunity* out) {
   out->center = center;
@@ -71,6 +112,11 @@ bool SeedCommunityExtractor::Extract(VertexId center, const Query& query,
   last_subgraph_edges_ = 0;
   last_triangles_inspected_ = 0;
   last_support_recomputes_avoided_ = 0;
+
+  // Step 0: the ego-net test, exact as a necessary condition, so a rejected
+  // center has no community and skips the BFS, CSR build and peel.
+  last_ego_rejected_ = !EgoNetAdmits(center, query);
+  if (last_ego_rejected_) return false;
 
   // Step 1: keyword-filtered r-hop BFS. Vertices beyond r hops in the
   // keyword-satisfying subgraph can only be further away in any community

@@ -42,6 +42,14 @@ struct SeedCommunity {
 /// every subgraph of the current candidate, so the fixpoint is exactly the
 /// maximal community (DESIGN.md §3).
 ///
+/// Before step 1, an ego-net test rejects centers that cannot anchor any
+/// community. Let N_Q(v_q) be the center's neighbours holding a query
+/// keyword. A community through v_q holds an edge (v_q, u) of support
+/// ≥ k−2, and every apex of those triangles is a keyword holder adjacent to
+/// both v_q and u. So v_q needs a query keyword and some u ∈ N_Q(v_q) with
+/// ≥ k−2 neighbours inside N_Q(v_q). The test is a necessary condition
+/// only: a center that passes still runs the full fixpoint.
+///
 /// The default (kIncremental) execution runs on the triangle substrate
 /// (truss/local_truss.h): edge supports are computed once by oriented
 /// triangle enumeration, every radius/connectivity kill decrements only the
@@ -67,8 +75,9 @@ class SeedCommunityExtractor {
 
   /// Computes the seed community centered at `center` for `query`.
   /// Returns false (and clears *out) when no non-empty community exists —
-  /// the center lacks query keywords, or peeling eliminates it. Communities
-  /// contain at least one edge (an isolated center is not a community).
+  /// the center lacks query keywords, fails the ego-net test, or peeling
+  /// eliminates it. Communities contain at least one edge (an isolated
+  /// center is not a community).
   bool Extract(VertexId center, const Query& query, SeedCommunity* out) {
     return Extract(center, query, Mode::kIncremental, out);
   }
@@ -80,8 +89,9 @@ class SeedCommunityExtractor {
 
   /// Verification only: runs the k-truss + connectivity + radius fixpoint
   /// over a caller-materialized ball (hop(center, query.radius) extracted
-  /// under the query's keyword filter, as HopExtractor produces). Extract is
-  /// exactly materialize-then-Verify; the split lets callers that already
+  /// under the query's keyword filter, as HopExtractor produces). Extract
+  /// returns what materialize-then-Verify returns, but skips both for
+  /// centers the ego-net test rejects; the split lets callers that already
   /// hold the ball — bench_seed_extraction's A/B timing, future ball-sharing
   /// batch paths — pay for verification alone. `ball` is only read and must
   /// stay alive for the duration of the call.
@@ -105,7 +115,16 @@ class SeedCommunityExtractor {
     return last_support_recomputes_avoided_;
   }
 
+  /// True when the last Extract call was rejected by the ego-net test,
+  /// before any ball was materialized.
+  bool last_ego_rejected() const { return last_ego_rejected_; }
+
  private:
+  /// The ego-net test (class comment): false when `center` cannot anchor a
+  /// seed community for `query`. Always true for k < 2, where the test does
+  /// not apply.
+  bool EgoNetAdmits(VertexId center, const Query& query);
+
   /// Finds vertices unreachable within r in the peeled subgraph (BFS over
   /// alive edges from the center into local_dist_), kills them, and collects
   /// their still-alive incident edges into doomed_ — each dying edge exactly
@@ -124,9 +143,11 @@ class SeedCommunityExtractor {
   std::vector<std::uint32_t> local_dist_;
   std::vector<std::uint32_t> bfs_queue_;
   std::vector<std::uint32_t> doomed_;
+  std::vector<VertexId> ego_;  // N_Q(center), sorted ascending
   std::size_t last_subgraph_edges_ = 0;
   std::uint64_t last_triangles_inspected_ = 0;
   std::uint64_t last_support_recomputes_avoided_ = 0;
+  bool last_ego_rejected_ = false;
 };
 
 }  // namespace topl

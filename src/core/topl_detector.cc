@@ -133,10 +133,11 @@ class PlanCursor {
         for (VertexId v : tree_->LeafVertices(node)) {
           // Candidate-level pruning (Lemmas 1, 2, 4) on hop(v, r).
           if (options_->use_keyword_pruning &&
-              (!pre_->SignatureIntersects(v, r, *query_bv_) ||
-               !HopExtractor::HasAnyKeyword(*graph_, v, query_->keywords))) {
-            // Either no vertex of hop(v, r) can hold a query keyword, or the
-            // center itself does not (and the center is in every g).
+              (!HopExtractor::HasAnyKeyword(*graph_, v, query_->keywords) ||
+               !pre_->SignatureIntersects(v, r, *query_bv_))) {
+            // Either the center does not hold a query keyword (and the
+            // center is in every g), or no vertex of hop(v, r) can. The
+            // center test runs first: it is cheaper and rejects more.
             ++stats->pruned_keyword;
             continue;
           }
@@ -213,6 +214,7 @@ struct ChunkOutput {
   std::vector<CommunityResult> found;
   std::uint64_t refined = 0;
   std::uint64_t skipped = 0;  // deadline/cancel hit before these candidates
+  std::uint64_t ego_rejected = 0;
   std::uint64_t triangles_inspected = 0;
   std::uint64_t support_recomputes_avoided = 0;
 };
@@ -230,6 +232,7 @@ void RefineChunk(std::span<const VertexId> candidates, const Query& query,
     ++out->refined;
     CommunityResult candidate;
     const bool found = extractor.Extract(v, query, mode, &candidate.community);
+    out->ego_rejected += extractor.last_ego_rejected();
     out->triangles_inspected += extractor.last_triangles_inspected();
     out->support_recomputes_avoided += extractor.last_support_recomputes_avoided();
     if (!found) continue;
@@ -361,6 +364,7 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
         CommunityResult candidate;
         const bool found =
             extractor_.Extract(v, query, extraction_mode, &candidate.community);
+        stats.ego_rejected += extractor_.last_ego_rejected();
         stats.triangles_inspected += extractor_.last_triangles_inspected();
         stats.support_recomputes_avoided +=
             extractor_.last_support_recomputes_avoided();
@@ -405,6 +409,7 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
       for (ChunkOutput& out : outputs) {
         stats.candidates_refined += out.refined;
         stats.communities_found += out.found.size();
+        stats.ego_rejected += out.ego_rejected;
         stats.triangles_inspected += out.triangles_inspected;
         stats.support_recomputes_avoided += out.support_recomputes_avoided;
         skipped += out.skipped;

@@ -318,6 +318,7 @@ TEST_F(EngineTest, QueryStatsMergeHelper) {
   b.communities_found = 1;
   b.triangles_inspected = 30;
   b.support_recomputes_avoided = 2;
+  b.ego_rejected = 3;
   b.elapsed_seconds = 0.5;
   a += b;
   EXPECT_EQ(a.heap_pops, 8u);
@@ -329,27 +330,51 @@ TEST_F(EngineTest, QueryStatsMergeHelper) {
   EXPECT_EQ(a.communities_found, 1u);
   EXPECT_EQ(a.triangles_inspected, 40u);
   EXPECT_EQ(a.support_recomputes_avoided, 2u);
+  EXPECT_EQ(a.ego_rejected, 3u);
   EXPECT_DOUBLE_EQ(a.elapsed_seconds, 0.75);
 }
 
 TEST_F(EngineTest, SubstrateCountersReachEngineStats) {
-  Result<std::unique_ptr<Engine>> engine =
-      MakeEngineFromSharedIndex(EngineOptions{});
+  EngineOptions options;
+  options.num_threads = 4;
+  Result<std::unique_ptr<Engine>> engine = MakeEngineFromSharedIndex(options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   std::uint64_t triangles = 0;
+  std::uint64_t ego_rejected = 0;
+  std::uint64_t parallel_chunks = 0;
+  const auto account = [&](const QueryStats& stats) {
+    triangles += stats.triangles_inspected;
+    ego_rejected += stats.ego_rejected;
+    parallel_chunks += stats.parallel_chunks;
+    if (stats.communities_found > 0) {
+      // Extracting a community walks its triangles on the (default)
+      // incremental path, so this query must have metered some.
+      EXPECT_GT(stats.triangles_inspected, 0u);
+    }
+    // Ego-net rejections are refined candidates that found no community.
+    EXPECT_LE(stats.ego_rejected,
+              stats.candidates_refined - stats.communities_found);
+  };
+  // Sequential refinement, then chunked refinement over the engine's pool.
+  ProgressiveOptions chunked;
+  chunked.chunk_size = 1;
   for (const Query& q : world_->queries) {
     Result<TopLResult> result = (*engine)->Search(q);
     ASSERT_TRUE(result.ok());
-    triangles += result->stats.triangles_inspected;
-    if (result->stats.communities_found > 0) {
-      // Extracting a community walks its triangles on the (default)
-      // incremental path, so this query must have metered some.
-      EXPECT_GT(result->stats.triangles_inspected, 0u);
-    }
+    account(result->stats);
+    Result<TopLResult> progressive = (*engine)->SearchProgressive(q, chunked);
+    ASSERT_TRUE(progressive.ok());
+    account(progressive->stats);
   }
   ASSERT_GT(triangles, 0u);  // the workload finds communities
+  ASSERT_GT(ego_rejected, 0u);
+  ASSERT_GT(parallel_chunks, 0u);  // the chunked path ran
   // The per-query counters must fold into the engine aggregate.
-  EXPECT_EQ((*engine)->Stats().query_stats.triangles_inspected, triangles);
+  const QueryStats aggregate = (*engine)->Stats().query_stats;
+  EXPECT_EQ(aggregate.triangles_inspected, triangles);
+  EXPECT_EQ(aggregate.ego_rejected, ego_rejected);
+  EXPECT_LE(aggregate.ego_rejected,
+            aggregate.candidates_refined - aggregate.communities_found);
 }
 
 TEST_F(EngineTest, CreateRejectsMismatchedParts) {
