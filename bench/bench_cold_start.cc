@@ -1,14 +1,15 @@
 // bench_cold_start — measures Engine::Open cold-start latency for the two
-// persistence paths on the same offline phase:
+// TOPLIDX2 encodings of the same offline phase:
 //
-//   copy:  graph file + legacy TOPLIDX1 index, parsed field-by-field into
-//          freshly allocated vectors (the pre-TOPLIDX2 behavior);
-//   mmap:  one TOPLIDX2 artifact, mapped and served zero-copy (measured with
-//          and without the checksum pass).
+//   compressed: the artifact written with --compress=1 (version 2); its
+//               delta+varint sections are decoded into owned heap memory at
+//               open, the raw ones stay mapped;
+//   mmap:       the raw artifact (version 1), mapped and served zero-copy
+//               (measured with and without the checksum pass).
 //
 // Each measurement runs in a forked child so RSS and allocator state never
 // leak between paths; the page cache is warmed with a throwaway read first
-// so the comparison isolates parse+copy cost rather than disk speed.
+// so the comparison isolates decode+copy cost rather than disk speed.
 //
 //   bench_cold_start [--vertices=20000] [--rmax=2] [--seed=42] [--repeat=3]
 //                    [--json=BENCH_coldstart.json] [--dir=DIR] [--threads=0]
@@ -78,8 +79,8 @@ Measurement MeasureOnce(const EngineOptions& options, const Query& query) {
 }
 
 // Forks, measures in the child, and ships the Measurement back over a pipe.
-// Isolation matters: the copy path's freed vectors would otherwise sit in
-// the allocator and mask the mmap path's RSS footprint.
+// Isolation matters: the compressed path's decoded vectors would otherwise
+// sit in the allocator and mask the mmap path's RSS footprint.
 Measurement MeasureInChild(const EngineOptions& options, const Query& query) {
   int fds[2];
   if (pipe(fds) != 0) return MeasureOnce(options, query);
@@ -195,22 +196,16 @@ int main(int argc, char** argv) {
           : (std::filesystem::temp_directory_path() /
              ("topl_coldstart_" + std::to_string(::getpid()))).string();
   std::filesystem::create_directories(dir);
-  const std::string graph_path = dir + "/graph.bin";
-  const std::string legacy_path = dir + "/index_legacy.bin";
   const std::string artifact_path = dir + "/index.idx";
+  const std::string packed_path = dir + "/index_packed.idx";
 
-  // ---- Offline phase: one graph, one index, both persistence formats. ----
+  // ---- Offline phase: one graph, one index, both artifact encodings. ----
   SmallWorldOptions gen;
   gen.num_vertices = vertices;
   gen.seed = seed;
   Result<Graph> graph = MakeSmallWorld(gen);
   if (!graph.ok()) {
     std::fprintf(stderr, "generate failed: %s\n", graph.status().ToString().c_str());
-    return 1;
-  }
-  Status status = WriteGraphBinary(*graph, graph_path);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
   }
   PrecomputeOptions pre_options;
@@ -228,8 +223,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   const double build_seconds = build_timer.ElapsedSeconds();
-  status = IndexCodec::Write(*pre, *tree, legacy_path);
-  if (status.ok()) status = ArtifactWriter::Write(*graph, *pre, *tree, artifact_path);
+  ArtifactWriteOptions packed;
+  packed.compress = true;
+  Status status = ArtifactWriter::Write(*graph, *pre, *tree, artifact_path);
+  if (status.ok()) {
+    status = ArtifactWriter::Write(*graph, *pre, *tree, packed_path, packed);
+  }
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
@@ -253,45 +252,45 @@ int main(int argc, char** argv) {
   query.theta = 0.2;
   query.top_l = 5;
 
-  // Everything below measures parse/copy vs map, not disk reads.
-  WarmPageCache(graph_path);
-  WarmPageCache(legacy_path);
+  // Everything below measures decode vs map, not disk reads.
   WarmPageCache(artifact_path);
+  WarmPageCache(packed_path);
 
-  EngineOptions copy_options;
-  copy_options.graph_path = graph_path;
-  copy_options.index_path = legacy_path;
-  copy_options.build_index_if_missing = false;
+  // Both artifacts embed the graph, so no graph_path is needed.
+  EngineOptions packed_options;
+  packed_options.index_path = packed_path;
+  packed_options.build_index_if_missing = false;
 
   EngineOptions mmap_options;
-  mmap_options.index_path = artifact_path;  // graph embedded in the artifact
+  mmap_options.index_path = artifact_path;
   mmap_options.build_index_if_missing = false;
 
   EngineOptions mmap_unverified = mmap_options;
   mmap_unverified.verify_artifact_checksums = false;
 
-  const Measurement copy = MeasureBest(copy_options, query, repeat);
+  const Measurement compressed = MeasureBest(packed_options, query, repeat);
   const Measurement mmap = MeasureBest(mmap_options, query, repeat);
   const Measurement mmap_raw = MeasureBest(mmap_unverified, query, repeat);
-  const bool all_ok = copy.ok && mmap.ok && mmap_raw.ok;
+  const bool all_ok = compressed.ok && mmap.ok && mmap_raw.ok;
 
-  const double speedup =
-      mmap.open_seconds > 0 ? copy.open_seconds / mmap.open_seconds : 0.0;
+  const double speedup = mmap.open_seconds > 0
+                             ? compressed.open_seconds / mmap.open_seconds
+                             : 0.0;
   std::printf("graph: %zu vertices, %zu edges; offline build %.2fs\n",
               vertices, num_edges, build_seconds);
-  std::printf("artifact: %llu bytes (TOPLIDX2), legacy: %llu bytes (TOPLIDX1)\n",
+  std::printf("artifact: %llu bytes raw, %llu bytes compressed\n",
               static_cast<unsigned long long>(FileBytes(artifact_path)),
-              static_cast<unsigned long long>(FileBytes(legacy_path)));
-  std::printf("%-16s %14s %18s %14s\n", "path", "open", "first query", "rss delta");
+              static_cast<unsigned long long>(FileBytes(packed_path)));
+  std::printf("%-18s %14s %18s %14s\n", "path", "open", "first query", "rss delta");
   auto print_row = [](const char* name, const Measurement& m) {
-    std::printf("%-16s %12.3fms %16.3fms %12ldkB\n", name,
+    std::printf("%-18s %12.3fms %16.3fms %12ldkB\n", name,
                 m.open_seconds * 1e3, m.first_query_seconds * 1e3,
                 m.rss_delta_kb);
   };
-  print_row("copy (TOPLIDX1)", copy);
-  print_row("mmap (TOPLIDX2)", mmap);
+  print_row("compressed (decode)", compressed);
+  print_row("mmap (raw)", mmap);
   print_row("mmap, no verify", mmap_raw);
-  std::printf("open speedup (mmap vs copy): %.1fx\n", speedup);
+  std::printf("open speedup (mmap vs compressed): %.1fx\n", speedup);
 
   std::FILE* json = std::fopen(json_path.c_str(), "w");
   if (json == nullptr) {
@@ -307,14 +306,15 @@ int main(int argc, char** argv) {
   std::fprintf(json, "  \"offline_build_seconds\": %.3f,\n", build_seconds);
   std::fprintf(json, "  \"artifact_bytes\": %llu,\n",
                static_cast<unsigned long long>(FileBytes(artifact_path)));
-  std::fprintf(json, "  \"legacy_bytes\": %llu,\n",
-               static_cast<unsigned long long>(FileBytes(legacy_path)));
+  std::fprintf(json, "  \"compressed_bytes\": %llu,\n",
+               static_cast<unsigned long long>(FileBytes(packed_path)));
   std::fprintf(json, "  \"paths\": {\n");
-  PrintPathJson(json, "copy", copy, true);
+  PrintPathJson(json, "compressed", compressed, true);
   PrintPathJson(json, "mmap", mmap, true);
   PrintPathJson(json, "mmap_unverified", mmap_raw, false);
   std::fprintf(json, "  },\n");
-  std::fprintf(json, "  \"open_speedup_mmap_vs_copy\": %.2f,\n", speedup);
+  std::fprintf(json, "  \"open_speedup_mmap_vs_compressed\": %.2f,\n",
+               speedup);
   std::fprintf(json, "  \"ok\": %s\n", all_ok ? "true" : "false");
   std::fprintf(json, "}\n");
   std::fclose(json);

@@ -9,7 +9,6 @@
 #include "common/timer.h"
 #include "graph/binary_io.h"
 #include "graph/reorder.h"
-#include "index/index_io.h"
 #include "storage/artifact.h"
 
 namespace topl {
@@ -203,13 +202,13 @@ Status Engine::AttachJournal(const std::string& path) {
 }
 
 Result<std::unique_ptr<Engine>> Engine::OpenFiles(const EngineOptions& options) {
-  const bool have_index_file =
-      !options.index_path.empty() && std::filesystem::exists(options.index_path);
-
-  // Fast path: a TOPLIDX2 artifact embeds graph + precompute + tree, so the
-  // whole serving state is one mmap — no parse, no copy, cold start in a few
-  // page faults (plus one checksum scan unless disabled).
-  if (have_index_file && ArtifactReader::IsArtifact(options.index_path)) {
+  // An existing index file is a TOPLIDX2 artifact: it embeds graph +
+  // precompute + tree, so the whole serving state is one mmap — no parse, no
+  // copy, cold start in a few page faults (plus one checksum scan unless
+  // disabled). Anything else at the path fails with the reader's status
+  // (IOError / Corruption); it is never rebuilt over.
+  if (!options.index_path.empty() &&
+      std::filesystem::exists(options.index_path)) {
     ArtifactReadOptions read_options;
     read_options.verify_checksums = options.verify_artifact_checksums;
     read_options.populate = options.mmap_populate;
@@ -217,6 +216,16 @@ Result<std::unique_ptr<Engine>> Engine::OpenFiles(const EngineOptions& options) 
     Result<MappedIndex> mapped =
         ArtifactReader::Open(options.index_path, read_options);
     if (!mapped.ok()) return mapped.status();
+    if (!mapped->shard_manifest.empty()) {
+      // A family member's tree covers only its shard's centers; serving it
+      // alone would silently drop every other shard's candidates.
+      return Status::InvalidArgument(
+          options.index_path + " is shard " +
+          std::to_string(mapped->shard_manifest[1]) + " of " +
+          std::to_string(mapped->shard_manifest[0]) +
+          " of a sharded index; serve the family with --shards=" +
+          std::to_string(mapped->shard_manifest[0]) + " / ShardedEngine");
+    }
     if (!options.graph_path.empty()) {
       // Cheap header cross-check: serving an index against the wrong graph
       // must fail loudly, not return silently wrong communities.
@@ -255,17 +264,6 @@ Result<std::unique_ptr<Engine>> Engine::OpenFiles(const EngineOptions& options) 
   }
   Result<Graph> graph = ReadGraphBinary(options.graph_path);
   if (!graph.ok()) return graph.status();
-
-  if (have_index_file) {
-    Result<IndexCodec::LoadedIndex> loaded =
-        IndexCodec::Read(options.index_path, *graph);
-    if (!loaded.ok()) return loaded.status();
-    Result<std::unique_ptr<Engine>> engine =
-        Create(std::move(graph).value(), std::move(loaded->data),
-               std::move(loaded->tree), options);
-    if (engine.ok()) (*engine)->index_source_ = IndexSource::kLegacyCopy;
-    return engine;
-  }
 
   if (!options.build_index_if_missing) {
     return Status::NotFound("index file not found: " + options.index_path +

@@ -113,7 +113,6 @@ class Engine {
   /// How the engine came to hold its offline-phase state.
   enum class IndexSource {
     kInMemory,        ///< built in-process or adopted via Create/FromGraph
-    kLegacyCopy,      ///< parsed+copied from a TOPLIDX1 file
     kMappedArtifact,  ///< zero-copy views of a mmap-ed TOPLIDX2 artifact
   };
 
@@ -139,10 +138,13 @@ class Engine {
 
   /// Loads serving state from files. A TOPLIDX2 artifact at
   /// options.index_path is mmap-ed and served zero-copy (graph included;
-  /// options.graph_path is then only cross-checked); a legacy TOPLIDX1 index
-  /// is parsed alongside the graph file; a missing index file is built
-  /// in-process (and persisted back as a TOPLIDX2 artifact when
-  /// options.save_built_index).
+  /// options.graph_path is then only cross-checked); a missing index file is
+  /// built in-process from options.graph_path (and persisted back as a
+  /// TOPLIDX2 artifact when options.save_built_index). Any other file at
+  /// options.index_path fails with the reader's status (IOError when
+  /// unreadable, Corruption for a bad magic) and is left untouched; a member
+  /// of a sharded family (version-3 manifest) fails with InvalidArgument —
+  /// serve it through ShardedEngine.
   static Result<std::unique_ptr<Engine>> Open(const EngineOptions& options);
 
   /// Open with a mandatory write-ahead journal: identical to Open except that

@@ -51,8 +51,8 @@ struct PrecomputeOptions {
 ///
 /// Layout is flat (vertex-major) for cache-friendly index construction and
 /// trivial serialization. Like Graph, every flat array is accessed through a
-/// std::span view whose backing is either owned heap memory (Build, the
-/// legacy codec) or a read-only mmap of a TOPLIDX2 artifact. Copying
+/// std::span view whose backing is either owned heap memory (Build,
+/// incremental maintenance) or a read-only mmap of a TOPLIDX2 artifact. Copying
 /// materializes the views into fresh owned memory, so a copy of a mapped
 /// instance is an ordinary heap-backed one.
 class PrecomputedData {
@@ -114,7 +114,6 @@ class PrecomputedData {
   bool IsMapped() const { return backing_ != nullptr; }
 
  private:
-  friend class IndexCodec;       // legacy TOPLIDX1 serialization
   friend class ArtifactWriter;   // TOPLIDX2 (storage/artifact.h)
   friend class ArtifactReader;
   friend class VertexPrecomputer;  // per-vertex rebuild (Build + incremental)
@@ -122,7 +121,7 @@ class PrecomputedData {
 
   PrecomputedData() = default;
 
-  /// Points the view spans at the owned vectors (build / legacy-read path).
+  /// Points the view spans at the owned vectors (build / copy path).
   void BindOwned() {
     thetas_ = owned_thetas_;
     signatures_ = owned_signatures_;

@@ -45,8 +45,8 @@ struct TreeIndexOptions {
 /// PrecomputedData it was built from but does not own it.
 ///
 /// Like Graph and PrecomputedData, the node arena and every aggregate array
-/// are std::span views whose backing is either owned heap memory (Build, the
-/// legacy codec) or a read-only mmap of a TOPLIDX2 artifact.
+/// are std::span views whose backing is either owned heap memory (Build,
+/// incremental maintenance) or a read-only mmap of a TOPLIDX2 artifact.
 class TreeIndex {
  public:
   /// All-uint32 POD so the node arena is mapped verbatim off disk (a bool
@@ -112,12 +112,11 @@ class TreeIndex {
   bool IsMapped() const { return backing_ != nullptr; }
 
  private:
-  friend class IndexCodec;      // legacy TOPLIDX1 serialization
   friend class ArtifactWriter;  // TOPLIDX2 (storage/artifact.h)
   friend class ArtifactReader;
   friend class IndexUpdater;    // incremental maintenance (index_update.h)
 
-  /// Points the view spans at the owned vectors (build / legacy-read path).
+  /// Points the view spans at the owned vectors (build / patch path).
   void BindOwned() {
     nodes_ = owned_nodes_;
     sorted_vertices_ = owned_sorted_vertices_;

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 
 #include "common/fault_injection.h"
@@ -761,7 +760,7 @@ Status ValidateStructure(const std::string& path, const ParsedArtifact& parsed,
     }
   }
 
-  // Tree invariants (same checks as the legacy codec).
+  // Tree invariants: every child and leaf range stays inside its array.
   for (const TreeIndex::Node& node : s.nodes) {
     if (node.is_leaf > 1) return Corrupt(path, "node leaf flag out of range");
     if (node.is_leaf == 0 && (node.first_child >= nodes ||
@@ -831,7 +830,16 @@ Status ArtifactWriter::Write(const Graph& g, const PrecomputedData& pre,
       seen[ext] = true;
     }
   }
-  if (!options.shard_manifest.empty()) {
+  if (options.shard_manifest.empty()) {
+    // Without a manifest the reader expects a tree over every vertex; a
+    // shard member's partial tree would be written unreadable.
+    if (tree.sorted_vertices_.size() != n) {
+      return Status::InvalidArgument(
+          "tree covers " + std::to_string(tree.sorted_vertices_.size()) +
+          " of " + std::to_string(n) +
+          " vertices; a per-shard tree needs its shard manifest");
+    }
+  } else {
     if (options.shard_manifest.size() <= kShardMapHeaderWords) {
       return Status::InvalidArgument("shard manifest too small");
     }
@@ -972,13 +980,6 @@ Status ArtifactWriter::Write(const Graph& g, const PrecomputedData& pre,
 // ---------------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------------
-
-bool ArtifactReader::IsArtifact(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  char magic[8] = {};
-  in.read(magic, sizeof(magic));
-  return in && std::memcmp(magic, kMagic, sizeof(kMagic)) == 0;
-}
 
 Result<MappedIndex> ArtifactReader::Open(const std::string& path,
                                          const ArtifactReadOptions& options) {

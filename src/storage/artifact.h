@@ -56,8 +56,9 @@ namespace topl {
 /// ArtifactWriter emits version 1 unless compression or an external-id
 /// permutation is requested (version 2) or a shard manifest is given
 /// (version 3), so default-written files are byte-compatible with older
-/// readers. `topl_cli index migrate` upgrades either the legacy TOPLIDX1
-/// format (index/index_io.h) or a version-1 artifact in place.
+/// readers. TOPLIDX2 is the only index format; `topl_cli index migrate`
+/// re-encodes an artifact (raw <-> compressed), keeping its permutation and
+/// shard manifest.
 
 /// Per-section payload encodings (the DiskSection `encoding` field).
 enum class SectionEncoding : std::uint32_t {
@@ -108,7 +109,8 @@ struct ArtifactWriteOptions {
   /// Shard manifest words, [num_shards, shard_index, digest_lo, digest_hi,
   /// owned vertex ids… (strictly ascending)] — see shard/shard_partition.h
   /// for the encoding helpers. Non-empty forces artifact version 3 and
-  /// requires `tree` to have been built over exactly the owned subset.
+  /// requires `tree` to have been built over exactly the owned subset; empty
+  /// requires a tree over all n vertices.
   std::span<const std::uint32_t> shard_manifest = {};
 };
 
@@ -160,10 +162,6 @@ struct MappedIndex {
 
 class ArtifactReader {
  public:
-  /// True when the file starts with the TOPLIDX2 magic (cheap 8-byte sniff;
-  /// false for unreadable files).
-  static bool IsArtifact(const std::string& path);
-
   /// Maps and validates an artifact. All section geometry, the meta block's
   /// cross-structure size equations, and the structural invariants the
   /// detectors rely on (CSR monotonicity, arc targets / edge ids /

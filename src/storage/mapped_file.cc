@@ -25,6 +25,10 @@ Result<std::shared_ptr<MappedFile>> MappedFile::Open(const std::string& path,
     ::close(fd);
     return Status::IOError("cannot stat: " + path + ": " + err);
   }
+  if (!S_ISREG(st.st_mode)) {
+    ::close(fd);
+    return Status::IOError("not a regular file: " + path);
+  }
   const std::size_t size = static_cast<std::size_t>(st.st_size);
   const std::byte* data = nullptr;
   if (size > 0) {

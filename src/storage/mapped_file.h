@@ -46,7 +46,8 @@ class MappedFile {
   using MapOptions = topl::MapOptions;
 
   /// Maps `path` read-only. Fails with IOError when the file cannot be
-  /// opened, stat'ed or mapped. Empty files map to a null, zero-length view.
+  /// opened, stat'ed or mapped, or is not a regular file. Empty files map
+  /// to a null, zero-length view.
   static Result<std::shared_ptr<MappedFile>> Open(const std::string& path,
                                                   const MapOptions& options = {});
 

@@ -19,7 +19,6 @@
 #include "graph/binary_io.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
-#include "index/index_io.h"
 #include "storage/mapped_file.h"
 #include "tests/test_util.h"
 
@@ -256,7 +255,7 @@ TEST_F(ArtifactTest, EngineSavesBuiltIndexAsArtifact) {
   Result<std::unique_ptr<Engine>> first = Engine::Open(options);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ((*first)->index_source(), Engine::IndexSource::kInMemory);
-  ASSERT_TRUE(ArtifactReader::IsArtifact(index_path));
+  ASSERT_TRUE(ArtifactReader::Inspect(index_path).ok());
 
   Result<std::unique_ptr<Engine>> second = Engine::Open(options);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
@@ -270,18 +269,11 @@ TEST_F(ArtifactTest, EngineSavesBuiltIndexAsArtifact) {
   }
 }
 
-TEST_F(ArtifactTest, MigratedLegacyIndexHasEqualBounds) {
+TEST_F(ArtifactTest, RawRoundTripPreservesEveryBound) {
   const BuiltIndex built = BuildIndexFor(*graph_);
-  const std::string legacy_path = Path("legacy.bin");
-  const std::string artifact_path = Path("migrated.idx");
-  ASSERT_TRUE(IndexCodec::Write(built.pre(), built.tree, legacy_path).ok());
-
-  // Migrate: legacy read -> artifact write -> mmap open (what
-  // `topl_cli index migrate` does).
-  Result<IndexCodec::LoadedIndex> loaded = IndexCodec::Read(legacy_path, *graph_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const std::string artifact_path = Path("index.idx");
   ASSERT_TRUE(
-      ArtifactWriter::Write(*graph_, *loaded->data, loaded->tree, artifact_path)
+      ArtifactWriter::Write(*graph_, built.pre(), built.tree, artifact_path)
           .ok());
   Result<MappedIndex> mapped = ArtifactReader::Open(artifact_path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
@@ -326,11 +318,12 @@ TEST_F(ArtifactTest, InPlaceRewritePreservesTheArtifact) {
 
   // Migrate with --in == --out: the payload spans are views into the very
   // mapping being rewritten, so Write must not truncate in place.
-  Result<IndexCodec::LoadedIndex> loaded = IndexCodec::Read(path, *graph_);
+  Result<MappedIndex> loaded = ArtifactReader::Open(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_TRUE(loaded->data->IsMapped());
+  ASSERT_TRUE(loaded->pre->IsMapped());
   ASSERT_TRUE(
-      ArtifactWriter::Write(*graph_, *loaded->data, loaded->tree, path).ok());
+      ArtifactWriter::Write(loaded->graph, *loaded->pre, loaded->tree, path)
+          .ok());
   EXPECT_EQ(ReadAll(path), original);
   EXPECT_TRUE(ArtifactReader::Open(path).ok());
 }
@@ -395,6 +388,13 @@ TEST_F(ArtifactTest, TruncationsAreRejected) {
     ASSERT_FALSE(opened.ok()) << "truncation to " << len << " was accepted";
     EXPECT_TRUE(opened.status().IsCorruption());
   }
+  // The opposite damage: bytes appended past the advertised file size.
+  std::vector<char> extended = original;
+  extended.insert(extended.end(), {'e', 'x', 't', 'r', 'a'});
+  WriteAll(path, extended);
+  Result<MappedIndex> opened = ArtifactReader::Open(path);
+  ASSERT_FALSE(opened.ok()) << "trailing garbage was accepted";
+  EXPECT_TRUE(opened.status().IsCorruption());
 }
 
 TEST_F(ArtifactTest, ChecksumVerificationCanBeSkippedButStructureIsStillChecked) {
@@ -450,15 +450,20 @@ TEST_F(ArtifactTest, HugeIntermediateOffsetIsRejectedWithoutChecksums) {
 
 TEST_F(ArtifactTest, MissingFileIsIOError) {
   EXPECT_TRUE(ArtifactReader::Open(Path("absent.idx")).status().IsIOError());
-  EXPECT_FALSE(ArtifactReader::IsArtifact(Path("absent.idx")));
+  EXPECT_TRUE(ArtifactReader::Inspect(Path("absent.idx")).status().IsIOError());
 }
 
-TEST_F(ArtifactTest, LegacyFileIsNotAnArtifact) {
+TEST_F(ArtifactTest, ForeignFileIsNotAnArtifact) {
+  // A valid artifact whose magic is rewritten to another format's: the rest
+  // of the file is well formed, so only the magic check can reject it.
   const BuiltIndex built = BuildIndexFor(*graph_);
-  const std::string path = Path("legacy.bin");
-  ASSERT_TRUE(IndexCodec::Write(built.pre(), built.tree, path).ok());
-  EXPECT_FALSE(ArtifactReader::IsArtifact(path));
+  const std::string path = Path("foreign.bin");
+  ASSERT_TRUE(ArtifactWriter::Write(*graph_, built.pre(), built.tree, path).ok());
+  std::vector<char> bytes = ReadAll(path);
+  std::memcpy(bytes.data(), "GRAPHBIN", 8);
+  WriteAll(path, bytes);
   EXPECT_TRUE(ArtifactReader::Open(path).status().IsCorruption());
+  EXPECT_TRUE(ArtifactReader::Inspect(path).status().IsCorruption());
 }
 
 TEST_F(ArtifactTest, CompressedArtifactIsSmallerAndAnswersIdentically) {
@@ -585,6 +590,20 @@ TEST_F(ArtifactTest, WriterRejectsNonPermutationExternalIds) {
   EXPECT_TRUE(
       ArtifactWriter::Write(*graph_, built.pre(), built.tree, path, options)
           .IsInvalidArgument());
+}
+
+TEST_F(ArtifactTest, WriterRejectsPartialTreeWithoutShardManifest) {
+  // A tree over a candidate subset is only readable next to the shard
+  // manifest that names the subset; without one, Write must refuse it.
+  TreeIndexOptions subset;
+  for (VertexId v = 0; v < graph_->NumVertices(); v += 2) {
+    subset.candidates.push_back(v);
+  }
+  const BuiltIndex built = BuildIndexFor(*graph_, {}, subset);
+  const std::string path = Path("partial.idx");
+  EXPECT_TRUE(ArtifactWriter::Write(*graph_, built.pre(), built.tree, path)
+                  .IsInvalidArgument());
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST_F(ArtifactTest, CorruptedExternalIdSectionIsRejected) {

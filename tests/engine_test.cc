@@ -1,7 +1,10 @@
 #include "engine/engine.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <thread>
@@ -444,6 +447,50 @@ TEST_F(EngineTest, OpenLoadsBuildsAndPersists) {
   // Missing graph path is an InvalidArgument, not a crash.
   Result<std::unique_ptr<Engine>> no_graph = Engine::Open(EngineOptions());
   EXPECT_FALSE(no_graph.ok());
+
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(EngineTest, OpenNeverRebuildsOverANonArtifactIndexFile) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("topl_engine_junk_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string graph_path = (dir / "graph.bin").string();
+  const std::string index_path = (dir / "index.bin").string();
+  ASSERT_TRUE(WriteGraphBinary(world_->graph, graph_path).ok());
+
+  // Building and saving are both allowed, so only the open path stands
+  // between the user's file and an overwrite.
+  EngineOptions options;
+  options.graph_path = graph_path;
+  options.index_path = index_path;
+  options.precompute.r_max = 2;
+  options.build_index_if_missing = true;
+  options.save_built_index = true;
+
+  const std::string junk = "not an index, just user bytes\n";
+  {
+    std::ofstream out(index_path, std::ios::binary);
+    out << junk;
+  }
+  Result<std::unique_ptr<Engine>> engine = Engine::Open(options);
+  ASSERT_FALSE(engine.ok());
+  EXPECT_TRUE(engine.status().IsCorruption()) << engine.status().ToString();
+  {
+    std::ifstream in(index_path, std::ios::binary);
+    const std::string after((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    EXPECT_EQ(after, junk);
+  }
+
+  // A directory at the index path is an error too, and stays a directory.
+  std::filesystem::remove(index_path);
+  std::filesystem::create_directory(index_path);
+  engine = Engine::Open(options);
+  ASSERT_FALSE(engine.ok());
+  EXPECT_TRUE(engine.status().IsIOError()) << engine.status().ToString();
+  EXPECT_TRUE(std::filesystem::is_directory(index_path));
 
   std::filesystem::remove_all(dir);
 }

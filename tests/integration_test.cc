@@ -54,13 +54,14 @@ TEST_F(IntegrationTest, FullPipelineOverPersistedArtifacts) {
   ASSERT_TRUE(pre.ok());
   Result<TreeIndex> tree = TreeIndex::Build(*graph, *pre);
   ASSERT_TRUE(tree.ok());
-  ASSERT_TRUE(IndexCodec::Write(*pre, *tree, Path("index.bin")).ok());
+  ASSERT_TRUE(ArtifactWriter::Write(*graph, *pre, *tree, Path("index.idx")).ok());
 
-  // 4. Reload the index and query.
-  Result<IndexCodec::LoadedIndex> loaded =
-      IndexCodec::Read(Path("index.bin"), *graph);
-  ASSERT_TRUE(loaded.ok());
-  TopLDetector detector(*graph, *loaded->data, loaded->tree);
+  // 4. Reload the index (graph embedded) and query.
+  Result<MappedIndex> loaded = ArtifactReader::Open(Path("index.idx"));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->graph.NumVertices(), graph->NumVertices());
+  ASSERT_EQ(loaded->graph.NumEdges(), graph->NumEdges());
+  TopLDetector detector(loaded->graph, *loaded->pre, loaded->tree);
   Query q;
   q.keywords = {0, 1, 2, 3, 4};
   q.k = 3;
@@ -83,8 +84,20 @@ TEST_F(IntegrationTest, FullPipelineOverPersistedArtifacts) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-9);
 
-  // 6. DTopL on the same index.
-  DTopLDetector dtopl(*graph, *loaded->data, loaded->tree);
+  // 6. The serving facade over the same two files answers identically.
+  EngineOptions engine_options;
+  engine_options.graph_path = Path("graph.bin");
+  engine_options.index_path = Path("index.idx");
+  engine_options.build_index_if_missing = false;
+  Result<std::unique_ptr<Engine>> engine = Engine::Open(engine_options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_EQ((*engine)->index_source(), Engine::IndexSource::kMappedArtifact);
+  Result<TopLResult> served = (*engine)->Search(q);
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(Scores(served->communities), a);
+
+  // 7. DTopL on the same index.
+  DTopLDetector dtopl(loaded->graph, *loaded->pre, loaded->tree);
   DTopLOptions dopts;
   dopts.n_factor = 3;
   Result<DTopLResult> diversified = dtopl.Search(q, dopts);

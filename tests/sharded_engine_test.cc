@@ -4,8 +4,9 @@
 // any interleaved ApplyUpdate stream, including deletes and inserts that
 // cross shard-ownership boundaries. A 20-graph × {1,2,4,8}-shard sweep
 // enforces exactly that, alongside the artifact-family round-trip (shard
-// manifests reject mixed builds), per-shard result caches, and a concurrent
-// search-vs-update race for TSan.
+// manifests reject mixed builds; a lone member is refused by the unsharded
+// entry points), per-shard result caches, and a concurrent search-vs-update
+// race for TSan.
 
 #include "shard/sharded_engine.h"
 
@@ -354,6 +355,83 @@ TEST(ShardedEngineTest, ArtifactFamilyRoundTrip) {
         ShardedEngine::Open(franken, options);
     EXPECT_FALSE(bad.ok());
   }
+
+  fs::remove_all(dir);
+}
+
+// A family member's tree covers only its shard's centers, so the unsharded
+// entry points refuse it instead of serving a partial top-L; and a member
+// re-encoded with its manifest stays a member the family can still serve.
+TEST(ShardedEngineTest, SingleMemberIsOnlyServedThroughItsFamily) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("topl_shard_member_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+
+  ErdosRenyiOptions gen;
+  gen.num_vertices = 64;
+  gen.edge_prob = 0.09;
+  gen.seed = 79;
+  gen.keywords.domain_size = 12;
+  Result<Graph> graph = MakeErdosRenyi(gen);
+  ASSERT_TRUE(graph.ok());
+
+  ShardedEngineOptions options;
+  options.num_shards = 4;
+  options.engine.precompute = SweepPrecomputeOptions();
+  options.engine.num_threads = 1;
+  const std::string prefix = (dir / "family.idx").string();
+  ASSERT_TRUE(
+      ShardedEngine::BuildArtifacts(*graph, options, prefix, false).ok());
+  const std::string member = ShardedEngine::ShardArtifactPath(prefix, 1);
+
+  EngineOptions single = options.engine;
+  single.index_path = member;
+  Result<std::unique_ptr<Engine>> opened = Engine::Open(single);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsInvalidArgument());
+  EXPECT_NE(opened.status().message().find("shard 1 of 4"), std::string::npos)
+      << opened.status().ToString();
+  EXPECT_NE(opened.status().message().find("--shards=4"), std::string::npos)
+      << opened.status().ToString();
+
+  single.journal_path = (dir / "wal.jrn").string();
+  Result<std::unique_ptr<Engine>> recovered = Engine::Recover(single);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_TRUE(recovered.status().IsInvalidArgument());
+
+  // Re-encode every member (compressed) with its manifest; without one the
+  // writer refuses the partial tree instead of writing an unreadable file.
+  const std::string packed = (dir / "packed.idx").string();
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    Result<MappedIndex> in =
+        ArtifactReader::Open(ShardedEngine::ShardArtifactPath(prefix, s));
+    ASSERT_TRUE(in.ok()) << in.status().ToString();
+    ASSERT_FALSE(in->shard_manifest.empty());
+    const std::string out = ShardedEngine::ShardArtifactPath(packed, s);
+    EXPECT_TRUE(ArtifactWriter::Write(in->graph, *in->pre, in->tree, out)
+                    .IsInvalidArgument());
+    ArtifactWriteOptions write_options;
+    write_options.compress = true;
+    write_options.shard_manifest = in->shard_manifest;
+    ASSERT_TRUE(ArtifactWriter::Write(in->graph, *in->pre, in->tree, out,
+                                      write_options)
+                    .ok());
+    Result<ArtifactInfo> info = ArtifactReader::Inspect(out);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    EXPECT_EQ(info->version, 3u);
+    EXPECT_EQ(info->shard_index, s);
+  }
+  Result<std::unique_ptr<ShardedEngine>> family =
+      ShardedEngine::Open(packed, options);
+  ASSERT_TRUE(family.ok()) << family.status().ToString();
+  Result<std::unique_ptr<Engine>> whole =
+      Engine::FromGraph(CopyGraph(*graph), options.engine);
+  ASSERT_TRUE(whole.ok());
+  Rng rng(6);
+  const std::vector<Query> queries = SampleQueries(*graph, rng, 3);
+  ASSERT_FALSE(queries.empty());
+  ExpectShardedMatchesSingle(**family, **whole, queries, "re-encoded family");
 
   fs::remove_all(dir);
 }

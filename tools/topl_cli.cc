@@ -4,11 +4,10 @@
 //   topl_cli generate --kind=uni --vertices=10000 --out=graph.bin
 //   topl_cli convert  --in=com-dblp.ungraph.txt --out=graph.bin
 //   topl_cli index build   --graph=graph.bin --out=index.idx
-//                          [--rmax=3 --threads=0 --format=v2|legacy
-//                           --reorder=0 --compress=0 --shards=0]
+//                          [--rmax=3 --threads=0 --reorder=0 --compress=0
+//                           --shards=0]
 //   topl_cli index inspect --artifact=index.idx
-//   topl_cli index migrate --in=old.bin --graph=graph.bin --out=index.idx
-//                          [--compress=0]
+//   topl_cli index migrate --in=index.idx --out=packed.idx [--compress=0]
 //   topl_cli update   --index=index.idx --delta=delta.txt --out=patched.idx
 //                     [--journal=wal.jrn]
 //   topl_cli recover  --index=index.idx --journal=wal.jrn
@@ -16,15 +15,16 @@
 //   topl_cli stats    --graph=graph.bin
 //
 // `index build` writes the mmap-able TOPLIDX2 artifact (graph + precompute +
-// tree in one file) unless --format=legacy asks for the old TOPLIDX1 stream.
+// tree in one file), the only index format every command reads and writes.
 // --reorder=1 permutes vertices into a locality-preserving order
 // (graph/reorder.h) before CSR packing and records the internal→external
 // permutation in the artifact's g.extids section, so every id the online
 // commands print is still the original graph's id; --compress=1 stores the
 // large array sections delta+varint-encoded (artifact v2). `index inspect`
 // dumps an artifact's section table, per-section encoding and checksums;
-// `index migrate` rewrites a TOPLIDX1 file — or re-encodes an existing
-// TOPLIDX2 artifact — as TOPLIDX2, honoring --compress. Bare
+// `index migrate` re-encodes an artifact raw <-> compressed per --compress,
+// keeping its embedded graph, vertex permutation and shard manifest (so a
+// re-encoded `--shards` member still joins its family). Bare
 // `topl_cli index --graph=... --out=...` remains an alias for `index build`.
 //
 // `convert` streams the edge list (bounded memory for the line buffer; the
@@ -45,7 +45,8 @@
 // old artifact plus a replayable journal record for `recover`. (The one
 // window left open: a crash after the rename but before the truncate leaves
 // a record whose delta the artifact already contains; replaying it then
-// fails with a typed error instead of silently double-applying.)
+// fails with a typed error instead of silently double-applying.) A member
+// of a `--shards` family is refused: its siblings embed the same graph.
 //
 // `recover` replays a write-ahead journal (EngineOptions::journal_path /
 // `update --journal`) on top of an artifact — or, with --shards=N, a
@@ -82,7 +83,9 @@
 // (per-shard result caches with shard-local invalidation); it rejects
 // --reorder, since sharded artifacts keep identity external ids. query/dtopl
 // print the per-shard routed-op fan-out, and serve-bench's report/JSON gains
-// per-shard routed-op counts plus the max/mean load-imbalance ratio.
+// per-shard routed-op counts plus the max/mean load-imbalance ratio. Without
+// --shards, a single `<index>.s<k>` member is refused: its tree covers only
+// that shard's centers.
 //
 // All online subcommands accept --cache=1 [--cache-max-mb=64] to serve
 // repeated queries from the snapshot-epoch result cache (exact dirty-region
@@ -261,18 +264,8 @@ int CmdConvert(const std::map<std::string, std::string>& flags) {
 int CmdIndexBuild(const std::map<std::string, std::string>& flags) {
   const std::string graph_path = FlagOr(flags, "graph", "graph.bin");
   const std::string out = FlagOr(flags, "out", "index.bin");
-  const std::string format = FlagOr(flags, "format", "v2");
-  if (format != "v2" && format != "legacy") {
-    return Fail(Status::InvalidArgument("unknown --format: " + format +
-                                        " (expected v2 or legacy)"));
-  }
   const bool reorder = FlagOr(flags, "reorder", "0") == "1";
   const bool compress = FlagOr(flags, "compress", "0") == "1";
-  if (format == "legacy" && (reorder || compress)) {
-    return Fail(Status::InvalidArgument(
-        "--format=legacy cannot store a vertex permutation or encoded "
-        "sections; drop --reorder/--compress or use --format=v2"));
-  }
   const std::uint32_t shards =
       static_cast<std::uint32_t>(IntFlag(flags, "shards", 0));
   if (shards > 0) {
@@ -280,10 +273,6 @@ int CmdIndexBuild(const std::map<std::string, std::string>& flags) {
     // <out>.s<k>. Sharded artifacts keep identity external ids — the
     // partition already follows the locality order, so a vertex permutation
     // on top would only re-split the shards' contiguous runs.
-    if (format == "legacy") {
-      return Fail(Status::InvalidArgument(
-          "--shards requires --format=v2 (TOPLIDX1 has no shard manifest)"));
-    }
     if (reorder) {
       return Fail(Status::InvalidArgument(
           "--shards and --reorder are mutually exclusive: sharded artifacts "
@@ -326,13 +315,11 @@ int CmdIndexBuild(const std::map<std::string, std::string>& flags) {
   write_options.compress = compress;
   write_options.external_ids = external_ids;
   const Status status =
-      format == "legacy"
-          ? IndexCodec::Write(*pre, *tree, out)
-          : ArtifactWriter::Write(*graph, *pre, *tree, out, write_options);
+      ArtifactWriter::Write(*graph, *pre, *tree, out, write_options);
   if (!status.ok()) return Fail(status);
-  std::printf("indexed %s in %.2fs -> %s (%s%s%s, %zu tree nodes, height %u)\n",
+  std::printf("indexed %s in %.2fs -> %s (TOPLIDX2%s%s, %zu tree nodes, "
+              "height %u)\n",
               graph_path.c_str(), timer.ElapsedSeconds(), out.c_str(),
-              format == "legacy" ? "TOPLIDX1" : "TOPLIDX2",
               reorder ? ", reordered" : "", compress ? ", compressed" : "",
               tree->NumNodes(), tree->height());
   return 0;
@@ -342,16 +329,7 @@ int CmdIndexInspect(const std::map<std::string, std::string>& flags) {
   const std::string path =
       FlagOr(flags, "artifact", FlagOr(flags, "in", "index.bin"));
   Result<ArtifactInfo> info = ArtifactReader::Inspect(path);
-  if (!info.ok()) {
-    // A bad magic usually means a legacy TOPLIDX1 file; an unreadable file
-    // keeps its IO error.
-    if (info.status().IsCorruption()) {
-      std::fprintf(stderr,
-                   "hint: convert legacy TOPLIDX1 indexes with "
-                   "`topl_cli index migrate`\n");
-    }
-    return Fail(info.status());
-  }
+  if (!info.ok()) return Fail(info.status());
   std::printf("%s: TOPLIDX2 v%u, %llu bytes, checksums %s\n", path.c_str(),
               info->version, static_cast<unsigned long long>(info->file_size),
               info->checksums_ok ? "OK" : "MISMATCH");
@@ -380,40 +358,25 @@ int CmdIndexInspect(const std::map<std::string, std::string>& flags) {
 
 int CmdIndexMigrate(const std::map<std::string, std::string>& flags) {
   const std::string in = FlagOr(flags, "in", "");
-  const std::string graph_path = FlagOr(flags, "graph", "graph.bin");
   const std::string out = FlagOr(flags, "out", "");
   if (in.empty() || out.empty()) {
     return Fail(Status::InvalidArgument(
-        "index migrate needs --in=OLD_INDEX and --out=NEW_ARTIFACT"));
+        "index migrate needs --in=ARTIFACT and --out=NEW_ARTIFACT"));
   }
+  // Re-encode (raw <-> compressed) keeping the embedded graph, the
+  // external-id permutation and any shard manifest; --in may equal --out.
+  Result<MappedIndex> mapped = ArtifactReader::Open(in);
+  if (!mapped.ok()) return Fail(mapped.status());
   ArtifactWriteOptions write_options;
   write_options.compress = FlagOr(flags, "compress", "0") == "1";
-
-  // A TOPLIDX2 input is re-encoded in place (raw <-> compressed), keeping
-  // its embedded graph and external-id permutation; no --graph needed.
-  if (ArtifactReader::IsArtifact(in)) {
-    Result<MappedIndex> mapped = ArtifactReader::Open(in);
-    if (!mapped.ok()) return Fail(mapped.status());
-    write_options.external_ids = mapped->external_ids;
-    const Status status = ArtifactWriter::Write(mapped->graph, *mapped->pre,
-                                                mapped->tree, out, write_options);
-    if (!status.ok()) return Fail(status);
-    std::printf("migrated %s -> %s (TOPLIDX2%s, %zu tree nodes)\n", in.c_str(),
-                out.c_str(), write_options.compress ? ", compressed" : "",
-                mapped->tree.NumNodes());
-    return 0;
-  }
-
-  Result<Graph> graph = ReadGraphBinary(graph_path);
-  if (!graph.ok()) return Fail(graph.status());
-  Result<IndexCodec::LoadedIndex> loaded = IndexCodec::Read(in, *graph);
-  if (!loaded.ok()) return Fail(loaded.status());
-  const Status status = ArtifactWriter::Write(*graph, *loaded->data,
-                                              loaded->tree, out, write_options);
+  write_options.external_ids = mapped->external_ids;
+  write_options.shard_manifest = mapped->shard_manifest;
+  const Status status = ArtifactWriter::Write(mapped->graph, *mapped->pre,
+                                              mapped->tree, out, write_options);
   if (!status.ok()) return Fail(status);
   std::printf("migrated %s -> %s (TOPLIDX2%s, %zu tree nodes)\n", in.c_str(),
               out.c_str(), write_options.compress ? ", compressed" : "",
-              loaded->tree.NumNodes());
+              mapped->tree.NumNodes());
   return 0;
 }
 
@@ -426,15 +389,20 @@ int CmdUpdate(const std::map<std::string, std::string>& flags) {
         "update needs --index=ARTIFACT and --delta=FILE (and optionally "
         "--out=ARTIFACT, default --index)"));
   }
-  if (!ArtifactReader::IsArtifact(index_path)) {
+  Result<MappedIndex> mapped = ArtifactReader::Open(index_path);
+  if (!mapped.ok()) return Fail(mapped.status());
+  if (!mapped->shard_manifest.empty()) {
+    // Every member embeds the same full graph; patching one would leave its
+    // siblings on the old graph and split the family.
+    const std::string num_shards = std::to_string(mapped->shard_manifest[0]);
     return Fail(Status::InvalidArgument(
-        index_path + " is not a TOPLIDX2 artifact (run `topl_cli index "
-        "migrate` on legacy indexes first)"));
+        index_path + " is shard " + std::to_string(mapped->shard_manifest[1]) +
+        " of " + num_shards + " of a sharded index; its members share one "
+        "graph and must be updated together (rebuild the family with "
+        "`index build --shards=" + num_shards + "`)"));
   }
   Result<GraphDelta> delta = ReadGraphDeltaText(delta_path);
   if (!delta.ok()) return Fail(delta.status());
-  Result<MappedIndex> mapped = ArtifactReader::Open(index_path);
-  if (!mapped.ok()) return Fail(mapped.status());
 
   // A reordered artifact stores vertices in internal (locality) order; the
   // delta file speaks the original id space, so translate its vertex ids
