@@ -66,11 +66,12 @@ struct QueryOptions {
   /// community is collected: candidates whose upper bound is strictly below
   /// it are pruned exactly as if L communities at this score were already
   /// held. The caller asserts that `top_l` communities with score ≥ this
-  /// value exist elsewhere (a cross-shard merge holds them), so the pruned
-  /// candidates provably cannot enter the *merged* top-L — the returned
-  /// result then only lists communities that could. −∞ (the default)
-  /// disables seeding. Only effective together with use_score_pruning and a
-  /// query theta on the precompute grid, mirroring the internal threshold.
+  /// value exist elsewhere (in another partial search it merges this one
+  /// with), so the pruned candidates provably cannot enter the *merged*
+  /// top-L — the returned result then only lists communities that could.
+  /// −∞ (the default) disables seeding. Only effective together with
+  /// use_score_pruning and a query theta on the precompute grid, mirroring
+  /// the internal threshold.
   double initial_threshold = -std::numeric_limits<double>::infinity();
 };
 

@@ -313,10 +313,10 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
   std::vector<CommunityResult> progressive_snapshot;
   bool stopped = false;
 
-  // External floor seeding (cross-shard merges): the caller vouches for L
-  // communities at or above this score existing outside this search, so the
-  // threshold is valid before the local collector fills. All comparisons
-  // stay strict (<), preserving the canonical tie handling.
+  // External floor seeding (QueryOptions::initial_threshold): the caller
+  // vouches for L communities at or above this score existing outside this
+  // search, so the threshold is valid before the local collector fills. All
+  // comparisons stay strict (<), preserving the canonical tie handling.
   const bool seeded = options.initial_threshold > kNegInf;
   const auto threshold_valid = [&] { return collector.Full() || seeded; };
   const auto threshold = [&] {

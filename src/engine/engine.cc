@@ -15,31 +15,26 @@ namespace topl {
 
 namespace {
 
-/// Wraps a value-owned maintenance result into the shared-ownership install
-/// form. The tree's internal pointer into `*pre` survives: the pointee
-/// addresses are unchanged by the unique_ptr→shared_ptr / move conversions.
-SharedUpdate ShareUpdatedIndex(UpdatedIndex updated) {
-  SharedUpdate shared;
-  shared.graph = std::make_shared<const Graph>(std::move(updated.graph));
-  shared.pre = std::shared_ptr<const PrecomputedData>(std::move(updated.pre));
-  shared.tree = std::make_shared<const TreeIndex>(std::move(updated.tree));
-  shared.scope = updated.scope;
-  shared.dirty_center_ids = std::move(updated.dirty_center_ids);
-  return shared;
+/// Wraps one offline-phase result as an immutable serving snapshot. The
+/// tree's pointer into `*pre` survives the moves: the pointee address is
+/// unchanged.
+std::shared_ptr<const EngineSnapshot> MakeSnapshot(
+    Graph graph, std::unique_ptr<PrecomputedData> pre, TreeIndex tree,
+    std::uint64_t epoch) {
+  auto snapshot = std::make_shared<EngineSnapshot>();
+  snapshot->graph = std::make_unique<const Graph>(std::move(graph));
+  snapshot->pre = std::move(pre);
+  snapshot->tree = std::make_unique<const TreeIndex>(std::move(tree));
+  snapshot->epoch = epoch;
+  return snapshot;
 }
 
 }  // namespace
 
-Engine::Engine(std::shared_ptr<const Graph> graph,
-               std::shared_ptr<const PrecomputedData> pre,
-               std::shared_ptr<const TreeIndex> tree,
+Engine::Engine(std::shared_ptr<const EngineSnapshot> snapshot,
                const EngineOptions& options)
-    : options_(options), pool_(options.num_threads) {
-  auto snapshot = std::make_shared<EngineSnapshot>();
-  snapshot->graph = std::move(graph);
-  snapshot->pre = std::move(pre);
-  snapshot->tree = std::move(tree);
-  snapshot_ = std::move(snapshot);
+    : options_(options), snapshot_(std::move(snapshot)),
+      pool_(options.num_threads) {
   if (options.enable_result_cache) {
     QueryCache::Config config;
     config.max_bytes = options.cache_max_bytes;
@@ -102,36 +97,26 @@ Result<std::unique_ptr<Engine>> Engine::Create(Graph graph,
                                                std::unique_ptr<PrecomputedData> pre,
                                                TreeIndex tree,
                                                const EngineOptions& options) {
-  return Create(std::make_shared<const Graph>(std::move(graph)),
-                std::shared_ptr<const PrecomputedData>(std::move(pre)),
-                std::make_shared<const TreeIndex>(std::move(tree)), options);
-}
-
-Result<std::unique_ptr<Engine>> Engine::Create(
-    std::shared_ptr<const Graph> graph, std::shared_ptr<const PrecomputedData> pre,
-    std::shared_ptr<const TreeIndex> tree, const EngineOptions& options) {
-  if (graph == nullptr) {
-    return Status::InvalidArgument("Engine::Create needs a non-null Graph");
-  }
   if (pre == nullptr) {
     return Status::InvalidArgument("Engine::Create needs non-null PrecomputedData");
   }
-  if (pre->num_vertices() != graph->NumVertices()) {
+  if (pre->num_vertices() != graph.NumVertices()) {
     return Status::InvalidArgument(
         "PrecomputedData was built over a different graph (vertex count "
         "mismatch)");
   }
-  if (tree == nullptr || tree->NumNodes() == 0) {
+  if (tree.NumNodes() == 0) {
     return Status::InvalidArgument("Engine::Create needs a built TreeIndex");
   }
-  if (&tree->precomputed() != pre.get()) {
+  if (&tree.precomputed() != pre.get()) {
     return Status::InvalidArgument(
         "TreeIndex references different PrecomputedData than the one handed "
         "to Engine::Create");
   }
   // No make_unique: the constructor is private.
-  return std::unique_ptr<Engine>(
-      new Engine(std::move(graph), std::move(pre), std::move(tree), options));
+  return std::unique_ptr<Engine>(new Engine(
+      MakeSnapshot(std::move(graph), std::move(pre), std::move(tree), 0),
+      options));
 }
 
 Result<std::unique_ptr<Engine>> Engine::FromGraph(Graph graph,
@@ -216,16 +201,6 @@ Result<std::unique_ptr<Engine>> Engine::OpenFiles(const EngineOptions& options) 
     Result<MappedIndex> mapped =
         ArtifactReader::Open(options.index_path, read_options);
     if (!mapped.ok()) return mapped.status();
-    if (!mapped->shard_manifest.empty()) {
-      // A family member's tree covers only its shard's centers; serving it
-      // alone would silently drop every other shard's candidates.
-      return Status::InvalidArgument(
-          options.index_path + " is shard " +
-          std::to_string(mapped->shard_manifest[1]) + " of " +
-          std::to_string(mapped->shard_manifest[0]) +
-          " of a sharded index; serve the family with --shards=" +
-          std::to_string(mapped->shard_manifest[0]) + " / ShardedEngine");
-    }
     if (!options.graph_path.empty()) {
       // Cheap header cross-check: serving an index against the wrong graph
       // must fail loudly, not return silently wrong communities.
@@ -681,31 +656,10 @@ Result<RebuildScope> Engine::ApplyUpdate(const GraphDelta& delta) {
   if (journal_ != nullptr) {
     TOPL_RETURN_IF_ERROR(journal_->Append(delta));
   }
-  return InstallUpdateLocked(std::move(base), ShareUpdatedIndex(std::move(*updated)));
-}
 
-Result<RebuildScope> Engine::InstallUpdate(UpdatedIndex updated) {
-  return InstallUpdate(ShareUpdatedIndex(std::move(updated)));
-}
-
-Result<RebuildScope> Engine::InstallUpdate(SharedUpdate updated) {
-  std::lock_guard<std::mutex> update_lock(update_mu_);
-  return InstallUpdateLocked(snapshot(), std::move(updated));
-}
-
-Result<RebuildScope> Engine::InstallUpdateLocked(
-    std::shared_ptr<const EngineSnapshot> base, SharedUpdate updated) {
-  if (updated.graph == nullptr || updated.pre == nullptr ||
-      updated.tree == nullptr) {
-    return Status::InvalidArgument(
-        "InstallUpdate needs a graph, precompute, and tree");
-  }
-
-  auto next = std::make_shared<EngineSnapshot>();
-  next->graph = std::move(updated.graph);
-  next->pre = std::move(updated.pre);
-  next->tree = std::move(updated.tree);
-  next->epoch = base->epoch + 1;
+  std::shared_ptr<const EngineSnapshot> next =
+      MakeSnapshot(std::move(updated->graph), std::move(updated->pre),
+                   std::move(updated->tree), base->epoch + 1);
   const std::shared_ptr<const EngineSnapshot> installed = next;
 
   {
@@ -730,14 +684,14 @@ Result<RebuildScope> Engine::InstallUpdateLocked(
     // still under update_mu_ (so epochs reach the cache in order): erase
     // exactly the entries this delta's dirty-center set could have changed
     // and rebase the provably clean ones to the new epoch.
-    cache_->OnUpdate(updated.dirty_center_ids, *base->graph, *installed->graph,
+    cache_->OnUpdate(updated->dirty_center_ids, *base->graph, *installed->graph,
                      *installed->pre, installed->epoch);
   }
 
   updates_applied_.fetch_add(1, std::memory_order_relaxed);
-  update_dirty_centers_.fetch_add(updated.scope.dirty_centers,
+  update_dirty_centers_.fetch_add(updated->scope.dirty_centers,
                                   std::memory_order_relaxed);
-  return updated.scope;
+  return updated->scope;
 }
 
 EngineStats Engine::Stats() const {

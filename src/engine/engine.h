@@ -44,35 +44,13 @@ struct RecoveryInfo {
 /// read it lock-free for their entire lifetime, even while newer snapshots
 /// are installed. `tree` holds a raw pointer to `*pre`, so the two must be
 /// installed together.
-///
-/// The pieces are individually shared so distinct snapshots can alias them:
-/// a sharded deployment keeps ONE graph and ONE precompute across all shard
-/// engines, and an update that leaves a shard's owned rows untouched
-/// installs a snapshot that shares the old pre/tree and only swaps in the
-/// new graph — O(1) instead of O(n) per shard.
 struct EngineSnapshot {
-  std::shared_ptr<const Graph> graph;
-  std::shared_ptr<const PrecomputedData> pre;
-  std::shared_ptr<const TreeIndex> tree;
+  std::unique_ptr<const Graph> graph;
+  std::unique_ptr<const PrecomputedData> pre;
+  std::unique_ptr<const TreeIndex> tree;
   /// Monotone update counter: 0 for the open-time snapshot, +1 per applied
   /// delta.
   std::uint64_t epoch = 0;
-};
-
-/// Shared-ownership maintenance result for Engine::InstallUpdate: the same
-/// contract as UpdatedIndex, but the pieces may alias the engine's current
-/// snapshot (or another engine's). The sharded coordinator uses this to hand
-/// every shard one shared post-delta graph, and to re-install a shard's
-/// existing pre/tree untouched when the delta dirtied none of its owned
-/// centers.
-struct SharedUpdate {
-  std::shared_ptr<const Graph> graph;
-  std::shared_ptr<const PrecomputedData> pre;
-  std::shared_ptr<const TreeIndex> tree;
-  RebuildScope scope;
-  /// Sorted ids of every owned center whose serving state changed; drives
-  /// exact cache invalidation (empty = rebase-only).
-  std::vector<VertexId> dirty_center_ids;
 };
 
 /// \brief Thread-safe service facade over the TopL/DTopL online phase.
@@ -123,14 +101,6 @@ class Engine {
                                                 TreeIndex tree,
                                                 const EngineOptions& options = {});
 
-  /// Shared-ownership Create: the engine serves `graph`/`pre`/`tree` without
-  /// taking sole ownership, so several engines can alias one graph and one
-  /// precompute (each with its own tree). Same validation as Create.
-  static Result<std::unique_ptr<Engine>> Create(
-      std::shared_ptr<const Graph> graph,
-      std::shared_ptr<const PrecomputedData> pre,
-      std::shared_ptr<const TreeIndex> tree, const EngineOptions& options = {});
-
   /// Runs the offline phase (Algorithm 2 + index build) on `graph` with
   /// options.precompute / options.tree, then serves it.
   static Result<std::unique_ptr<Engine>> FromGraph(Graph graph,
@@ -142,9 +112,8 @@ class Engine {
   /// built in-process from options.graph_path (and persisted back as a
   /// TOPLIDX2 artifact when options.save_built_index). Any other file at
   /// options.index_path fails with the reader's status (IOError when
-  /// unreadable, Corruption for a bad magic) and is left untouched; a member
-  /// of a sharded family (version-3 manifest) fails with InvalidArgument —
-  /// serve it through ShardedEngine.
+  /// unreadable, Corruption for a bad magic or version) and is left
+  /// untouched.
   static Result<std::unique_ptr<Engine>> Open(const EngineOptions& options);
 
   /// Open with a mandatory write-ahead journal: identical to Open except that
@@ -217,22 +186,6 @@ class Engine {
   /// (invalid delta) the engine keeps serving the old snapshot untouched.
   /// Returns the RebuildScope work report.
   Result<RebuildScope> ApplyUpdate(const GraphDelta& delta);
-
-  /// Installs an externally computed maintenance result as the next snapshot:
-  /// the swap / context-retirement / cache-invalidation tail of ApplyUpdate
-  /// without the IndexUpdater pass. `updated` must have been derived from
-  /// this engine's *current* snapshot (the caller is the single writer, as
-  /// with ApplyUpdate — concurrent calls serialize on the same lock), with
-  /// `dirty_center_ids` covering every center whose serving state changed.
-  /// The sharded coordinator uses this to apply one shared maintenance
-  /// computation to each shard engine with per-shard epochs and caches.
-  Result<RebuildScope> InstallUpdate(UpdatedIndex updated);
-
-  /// InstallUpdate over shared pieces: `updated.graph`/`pre`/`tree` may alias
-  /// the current snapshot's members. An untouched shard installs
-  /// {new graph, same pre, same tree} in O(1) — no copy, no recompute, and
-  /// (with `dirty_center_ids` empty) a rebase-only cache pass.
-  Result<RebuildScope> InstallUpdate(SharedUpdate updated);
 
   /// Cumulative service counters (snapshot; never blocks queries).
   EngineStats Stats() const;
@@ -316,9 +269,8 @@ class Engine {
     WorkerContext* context_;
   };
 
-  Engine(std::shared_ptr<const Graph> graph,
-         std::shared_ptr<const PrecomputedData> pre,
-         std::shared_ptr<const TreeIndex> tree, const EngineOptions& options);
+  Engine(std::shared_ptr<const EngineSnapshot> snapshot,
+         const EngineOptions& options);
 
   WorkerContext* AcquireContext();
   void ReleaseContext(WorkerContext* context);
@@ -400,12 +352,6 @@ class Engine {
 
   /// The file-loading paths of Open, minus the journal attach.
   static Result<std::unique_ptr<Engine>> OpenFiles(const EngineOptions& options);
-
-  /// Shared tail of ApplyUpdate / InstallUpdate: snapshot swap, idle-context
-  /// retirement, cache invalidation, counters. Caller holds update_mu_;
-  /// `base` is the snapshot `updated` was computed from.
-  Result<RebuildScope> InstallUpdateLocked(
-      std::shared_ptr<const EngineSnapshot> base, SharedUpdate updated);
 
   /// Folds `context`'s stats into the retired accumulators and extracts it
   /// from contexts_, returning ownership. Caller holds contexts_mu_ and must

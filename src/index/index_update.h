@@ -108,9 +108,8 @@ class IndexUpdater {
   /// root-to-dirty-leaf path — the arena is bottom-up, so one ascending pass
   /// settles all dirty nodes. `dirty_vertex` is an n-sized mask of the
   /// vertices whose rows in `pre` differ from the rows `tree`'s aggregates
-  /// were folded over. Returns the number of nodes patched. Shared by Apply
-  /// and the sharded coordinator, whose per-shard trees cover only an owned
-  /// subset of the vertex set (the mask stays indexed by global vertex id).
+  /// were folded over. Returns the number of nodes patched. Exposed so the
+  /// tree-patch stage can be timed on its own; Apply uses exactly this pass.
   static std::size_t PatchTree(const TreeIndex& tree, const PrecomputedData* pre,
                                const std::vector<char>& dirty_vertex,
                                TreeIndex* out);

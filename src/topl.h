@@ -14,9 +14,10 @@
 ///   auto answer = (*engine)->Search({.keywords = {1, 8, 21}});
 /// \endcode
 ///
-/// See engine/engine.h for batched (SearchBatch) and async (Submit) serving,
-/// and the individual headers below for the pipeline's building blocks
-/// (GraphBuilder / generators -> PrecomputedData -> TreeIndex -> detectors).
+/// Engine is the one serving facade. See engine/engine.h for batched
+/// (SearchBatch) and async (Submit) serving, and the individual headers
+/// below for the pipeline's building blocks (GraphBuilder / generators ->
+/// PrecomputedData -> TreeIndex -> detectors).
 
 #include "baselines/atindex.h"
 #include "baselines/im_greedy.h"
@@ -61,11 +62,7 @@
 #include "loadgen/injector.h"
 #include "loadgen/recorder.h"
 #include "loadgen/report.h"
-#include "loadgen/serving_target.h"
 #include "loadgen/workload.h"
-#include "shard/shard_partition.h"
-#include "shard/shard_update.h"
-#include "shard/sharded_engine.h"
 #include "storage/artifact.h"
 #include "storage/atomic_file.h"
 #include "storage/checksum.h"

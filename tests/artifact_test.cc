@@ -464,6 +464,30 @@ TEST_F(ArtifactTest, ForeignFileIsNotAnArtifact) {
   WriteAll(path, bytes);
   EXPECT_TRUE(ArtifactReader::Open(path).status().IsCorruption());
   EXPECT_TRUE(ArtifactReader::Inspect(path).status().IsCorruption());
+
+  // A version-2 artifact relabelled version 3 (the retired sharded-member
+  // format, whose tree covered only part of the graph): only the version
+  // check can reject it, and an engine must refuse to serve it.
+  const std::string v3_path = Path("v3.idx");
+  ArtifactWriteOptions compress;
+  compress.compress = true;
+  ASSERT_TRUE(ArtifactWriter::Write(*graph_, built.pre(), built.tree, v3_path,
+                                    compress)
+                  .ok());
+  bytes = ReadAll(v3_path);
+  const std::uint32_t version = 3;
+  std::memcpy(bytes.data() + 8, &version, sizeof(version));
+  WriteAll(v3_path, bytes);
+  const Status read = ArtifactReader::Open(v3_path).status();
+  EXPECT_TRUE(read.IsCorruption()) << read.ToString();
+  EXPECT_NE(read.message().find("unsupported artifact version 3"),
+            std::string::npos)
+      << read.ToString();
+  EXPECT_TRUE(ArtifactReader::Inspect(v3_path).status().IsCorruption());
+  EngineOptions options;
+  options.index_path = v3_path;
+  EXPECT_TRUE(Engine::Open(options).status().IsCorruption());
+  EXPECT_EQ(ReadAll(v3_path), bytes);
 }
 
 TEST_F(ArtifactTest, CompressedArtifactIsSmallerAndAnswersIdentically) {
@@ -590,20 +614,6 @@ TEST_F(ArtifactTest, WriterRejectsNonPermutationExternalIds) {
   EXPECT_TRUE(
       ArtifactWriter::Write(*graph_, built.pre(), built.tree, path, options)
           .IsInvalidArgument());
-}
-
-TEST_F(ArtifactTest, WriterRejectsPartialTreeWithoutShardManifest) {
-  // A tree over a candidate subset is only readable next to the shard
-  // manifest that names the subset; without one, Write must refuse it.
-  TreeIndexOptions subset;
-  for (VertexId v = 0; v < graph_->NumVertices(); v += 2) {
-    subset.candidates.push_back(v);
-  }
-  const BuiltIndex built = BuildIndexFor(*graph_, {}, subset);
-  const std::string path = Path("partial.idx");
-  EXPECT_TRUE(ArtifactWriter::Write(*graph_, built.pre(), built.tree, path)
-                  .IsInvalidArgument());
-  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST_F(ArtifactTest, CorruptedExternalIdSectionIsRejected) {

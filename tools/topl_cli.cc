@@ -4,14 +4,13 @@
 //   topl_cli generate --kind=uni --vertices=10000 --out=graph.bin
 //   topl_cli convert  --in=com-dblp.ungraph.txt --out=graph.bin
 //   topl_cli index build   --graph=graph.bin --out=index.idx
-//                          [--rmax=3 --threads=0 --reorder=0 --compress=0
-//                           --shards=0]
+//                          [--rmax=3 --threads=0 --reorder=0 --compress=0]
 //   topl_cli index inspect --artifact=index.idx
 //   topl_cli index migrate --in=index.idx --out=packed.idx [--compress=0]
 //   topl_cli update   --index=index.idx --delta=delta.txt --out=patched.idx
 //                     [--journal=wal.jrn]
 //   topl_cli recover  --index=index.idx --journal=wal.jrn
-//                     [--out=patched.idx --shards=N --truncate-journal]
+//                     [--out=patched.idx --truncate-journal]
 //   topl_cli stats    --graph=graph.bin
 //
 // `index build` writes the mmap-able TOPLIDX2 artifact (graph + precompute +
@@ -23,8 +22,7 @@
 // large array sections delta+varint-encoded (artifact v2). `index inspect`
 // dumps an artifact's section table, per-section encoding and checksums;
 // `index migrate` re-encodes an artifact raw <-> compressed per --compress,
-// keeping its embedded graph, vertex permutation and shard manifest (so a
-// re-encoded `--shards` member still joins its family). Bare
+// keeping its embedded graph and vertex permutation. Bare
 // `topl_cli index --graph=... --out=...` remains an alias for `index build`.
 //
 // `convert` streams the edge list (bounded memory for the line buffer; the
@@ -45,18 +43,15 @@
 // old artifact plus a replayable journal record for `recover`. (The one
 // window left open: a crash after the rename but before the truncate leaves
 // a record whose delta the artifact already contains; replaying it then
-// fails with a typed error instead of silently double-applying.) A member
-// of a `--shards` family is refused: its siblings embed the same graph.
+// fails with a typed error instead of silently double-applying.)
 //
 // `recover` replays a write-ahead journal (EngineOptions::journal_path /
-// `update --journal`) on top of an artifact — or, with --shards=N, a
-// coordinator journal on top of the `<index>.s0..s{N-1}` artifact family —
-// healing any torn trailing record, and prints the recovery report (records
-// replayed, torn bytes discarded). The recovered engine is byte-identical to
-// one that applied the same acknowledged deltas live. --out additionally
-// writes the recovered state as a fresh artifact (unsharded only), and
-// --truncate-journal (requires --out) empties the journal once that artifact
-// is durable.
+// `update --journal`) on top of an artifact, healing any torn trailing
+// record, and prints the recovery report (records replayed, torn bytes
+// discarded). The recovered engine is byte-identical to one that applied
+// the same acknowledged deltas live. --out additionally writes the
+// recovered state as a fresh artifact, and --truncate-journal (requires
+// --out) empties the journal once that artifact is durable.
 //
 // Online phase (all served through topl::Engine::Open; a missing index file
 // is built in-process, and persisted back when --save-index=1):
@@ -73,19 +68,6 @@
 //                      --warmup-seconds=0.5 --seed=42 --popularity=zipf
 //                      --zipf=0 --signatures=0 --deadline-ms=0
 //                      --slo-qps=0 --slo-p99-ms=0 --slo-p999-ms=0 --json=]
-//
-// All online subcommands also accept --shards=N to serve through a
-// share-nothing ShardedEngine: N independent engines over the
-// `<index>.s0..s{N-1}` artifact family written by `index build --shards=N`
-// (built in-process from --graph when the family is missing), with queries
-// routed by shard-root admission and merged in the canonical order — answers
-// are byte-identical to unsharded serving. `--shards` composes with --cache
-// (per-shard result caches with shard-local invalidation); it rejects
-// --reorder, since sharded artifacts keep identity external ids. query/dtopl
-// print the per-shard routed-op fan-out, and serve-bench's report/JSON gains
-// per-shard routed-op counts plus the max/mean load-imbalance ratio. Without
-// --shards, a single `<index>.s<k>` member is refused: its tree covers only
-// that shard's centers.
 //
 // All online subcommands accept --cache=1 [--cache-max-mb=64] to serve
 // repeated queries from the snapshot-epoch result cache (exact dirty-region
@@ -120,7 +102,9 @@
 // fanned out across the engine's worker pool, and cumulative EngineStats
 // (throughput, p50/p99 latency, prune counters) are printed at the end.
 //
-// All subcommands exit non-zero with a Status message on failure.
+// Every subcommand refuses a flag it does not read (a misspelling, or one
+// from another subcommand) before it touches any file. All subcommands exit
+// non-zero with a Status message on failure.
 
 #include <algorithm>
 #include <cmath>
@@ -128,7 +112,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <map>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -153,6 +139,38 @@ bool ParseFlags(int argc, char** argv, int first,
     }
   }
   return true;
+}
+
+// The flag names one reader takes; a subcommand accepts the union of its
+// readers' lists.
+using FlagNames = std::span<const char* const>;
+
+// Flags read by OpenEngine, BuildQuery and BuildDTopLOptions, and the
+// query-budget flags of query/dtopl.
+constexpr const char* kEngineFlags[] = {
+    "graph", "index", "save-index", "rmax", "threads", "cache",
+    "cache-max-mb", "mmap-populate", "mmap-hugepages", "reorder", "compress"};
+constexpr const char* kQueryFlags[] = {"keywords", "k", "r", "theta", "L"};
+constexpr const char* kDTopLFlags[] = {"n", "algorithm"};
+constexpr const char* kBudgetFlags[] = {"deadline-ms", "progressive", "chunk"};
+
+// Refuses the first flag `command` does not read, so a misspelled or retired
+// flag fails loudly instead of being ignored. Every subcommand calls this
+// before it touches a file.
+Status CheckFlags(const std::map<std::string, std::string>& flags,
+                  const std::string& command,
+                  std::initializer_list<FlagNames> accepted) {
+  for (const auto& entry : flags) {
+    bool known = false;
+    for (FlagNames names : accepted) {
+      for (const char* name : names) known = known || entry.first == name;
+    }
+    if (!known) {
+      return Status::InvalidArgument(command + " does not take --" +
+                                     entry.first);
+    }
+  }
+  return Status::OK();
 }
 
 std::string FlagOr(const std::map<std::string, std::string>& flags,
@@ -205,6 +223,10 @@ int Usage() {
 }
 
 int CmdGenerate(const std::map<std::string, std::string>& flags) {
+  constexpr const char* kFlags[] = {"kind", "out", "keywords-per-vertex",
+                                    "domain", "vertices", "seed"};
+  const Status flags_ok = CheckFlags(flags, "generate", {kFlags});
+  if (!flags_ok.ok()) return Fail(flags_ok);
   const std::string kind = FlagOr(flags, "kind", "uni");
   const std::string out = FlagOr(flags, "out", "graph.bin");
   KeywordModel keywords;
@@ -239,6 +261,10 @@ int CmdGenerate(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdConvert(const std::map<std::string, std::string>& flags) {
+  constexpr const char* kFlags[] = {"in", "out", "domain", "seed",
+                                    "largest-cc", "keywords-per-vertex"};
+  const Status flags_ok = CheckFlags(flags, "convert", {kFlags});
+  if (!flags_ok.ok()) return Fail(flags_ok);
   const std::string in = FlagOr(flags, "in", "");
   const std::string out = FlagOr(flags, "out", "graph.bin");
   if (in.empty()) return Usage();
@@ -262,38 +288,14 @@ int CmdConvert(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdIndexBuild(const std::map<std::string, std::string>& flags) {
+  constexpr const char* kFlags[] = {"graph", "out", "reorder",
+                                    "compress", "rmax", "threads"};
+  const Status flags_ok = CheckFlags(flags, "index build", {kFlags});
+  if (!flags_ok.ok()) return Fail(flags_ok);
   const std::string graph_path = FlagOr(flags, "graph", "graph.bin");
   const std::string out = FlagOr(flags, "out", "index.bin");
   const bool reorder = FlagOr(flags, "reorder", "0") == "1";
   const bool compress = FlagOr(flags, "compress", "0") == "1";
-  const std::uint32_t shards =
-      static_cast<std::uint32_t>(IntFlag(flags, "shards", 0));
-  if (shards > 0) {
-    // Sharded build: one offline phase, one artifact per shard at
-    // <out>.s<k>. Sharded artifacts keep identity external ids — the
-    // partition already follows the locality order, so a vertex permutation
-    // on top would only re-split the shards' contiguous runs.
-    if (reorder) {
-      return Fail(Status::InvalidArgument(
-          "--shards and --reorder are mutually exclusive: sharded artifacts "
-          "keep identity external ids"));
-    }
-    Result<Graph> graph = ReadGraphBinary(graph_path);
-    if (!graph.ok()) return Fail(graph.status());
-    Timer timer;
-    ShardedEngineOptions options;
-    options.num_shards = shards;
-    options.engine.precompute.r_max =
-        static_cast<std::uint32_t>(IntFlag(flags, "rmax", 3));
-    options.engine.precompute.num_threads = IntFlag(flags, "threads", 0);
-    const Status status =
-        ShardedEngine::BuildArtifacts(*graph, options, out, compress);
-    if (!status.ok()) return Fail(status);
-    std::printf("indexed %s in %.2fs -> %s.s0..s%u (TOPLIDX2 sharded%s)\n",
-                graph_path.c_str(), timer.ElapsedSeconds(), out.c_str(),
-                shards - 1, compress ? ", compressed" : "");
-    return 0;
-  }
   Result<Graph> graph = ReadGraphBinary(graph_path);
   if (!graph.ok()) return Fail(graph.status());
   Timer timer;
@@ -326,6 +328,9 @@ int CmdIndexBuild(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdIndexInspect(const std::map<std::string, std::string>& flags) {
+  constexpr const char* kFlags[] = {"artifact", "in"};
+  const Status flags_ok = CheckFlags(flags, "index inspect", {kFlags});
+  if (!flags_ok.ok()) return Fail(flags_ok);
   const std::string path =
       FlagOr(flags, "artifact", FlagOr(flags, "in", "index.bin"));
   Result<ArtifactInfo> info = ArtifactReader::Inspect(path);
@@ -357,20 +362,22 @@ int CmdIndexInspect(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdIndexMigrate(const std::map<std::string, std::string>& flags) {
+  constexpr const char* kFlags[] = {"in", "out", "compress"};
+  const Status flags_ok = CheckFlags(flags, "index migrate", {kFlags});
+  if (!flags_ok.ok()) return Fail(flags_ok);
   const std::string in = FlagOr(flags, "in", "");
   const std::string out = FlagOr(flags, "out", "");
   if (in.empty() || out.empty()) {
     return Fail(Status::InvalidArgument(
         "index migrate needs --in=ARTIFACT and --out=NEW_ARTIFACT"));
   }
-  // Re-encode (raw <-> compressed) keeping the embedded graph, the
-  // external-id permutation and any shard manifest; --in may equal --out.
+  // Re-encode (raw <-> compressed) keeping the embedded graph and the
+  // external-id permutation; --in may equal --out.
   Result<MappedIndex> mapped = ArtifactReader::Open(in);
   if (!mapped.ok()) return Fail(mapped.status());
   ArtifactWriteOptions write_options;
   write_options.compress = FlagOr(flags, "compress", "0") == "1";
   write_options.external_ids = mapped->external_ids;
-  write_options.shard_manifest = mapped->shard_manifest;
   const Status status = ArtifactWriter::Write(mapped->graph, *mapped->pre,
                                               mapped->tree, out, write_options);
   if (!status.ok()) return Fail(status);
@@ -381,6 +388,10 @@ int CmdIndexMigrate(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdUpdate(const std::map<std::string, std::string>& flags) {
+  constexpr const char* kFlags[] = {"index", "delta", "out", "journal",
+                                    "threads"};
+  const Status flags_ok = CheckFlags(flags, "update", {kFlags});
+  if (!flags_ok.ok()) return Fail(flags_ok);
   const std::string index_path = FlagOr(flags, "index", "");
   const std::string delta_path = FlagOr(flags, "delta", "");
   const std::string out = FlagOr(flags, "out", index_path);
@@ -391,16 +402,6 @@ int CmdUpdate(const std::map<std::string, std::string>& flags) {
   }
   Result<MappedIndex> mapped = ArtifactReader::Open(index_path);
   if (!mapped.ok()) return Fail(mapped.status());
-  if (!mapped->shard_manifest.empty()) {
-    // Every member embeds the same full graph; patching one would leave its
-    // siblings on the old graph and split the family.
-    const std::string num_shards = std::to_string(mapped->shard_manifest[0]);
-    return Fail(Status::InvalidArgument(
-        index_path + " is shard " + std::to_string(mapped->shard_manifest[1]) +
-        " of " + num_shards + " of a sharded index; its members share one "
-        "graph and must be updated together (rebuild the family with "
-        "`index build --shards=" + num_shards + "`)"));
-  }
   Result<GraphDelta> delta = ReadGraphDeltaText(delta_path);
   if (!delta.ok()) return Fail(delta.status());
 
@@ -500,12 +501,15 @@ int CmdUpdate(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdRecover(const std::map<std::string, std::string>& flags) {
+  constexpr const char* kFlags[] = {"index", "journal", "out",
+                                    "truncate-journal", "threads"};
+  const Status flags_ok = CheckFlags(flags, "recover", {kFlags});
+  if (!flags_ok.ok()) return Fail(flags_ok);
   const std::string index_path = FlagOr(flags, "index", "");
   const std::string journal_path = FlagOr(flags, "journal", "");
   if (index_path.empty() || journal_path.empty()) {
     return Fail(Status::InvalidArgument(
-        "recover needs --index=ARTIFACT (or a --shards family prefix) and "
-        "--journal=FILE"));
+        "recover needs --index=ARTIFACT and --journal=FILE"));
   }
   const std::string out = FlagOr(flags, "out", "");
   const bool truncate_journal = FlagOr(flags, "truncate-journal", "0") == "1";
@@ -514,47 +518,15 @@ int CmdRecover(const std::map<std::string, std::string>& flags) {
         "--truncate-journal without --out would discard the journaled deltas "
         "without persisting them anywhere; add --out=ARTIFACT"));
   }
-  const std::uint32_t shards =
-      static_cast<std::uint32_t>(IntFlag(flags, "shards", 0));
-
   Timer timer;
   RecoveryInfo info;
-  std::unique_ptr<Engine> engine;
-  if (shards > 0) {
-    if (!out.empty()) {
-      return Fail(Status::InvalidArgument(
-          "--out is unsharded-only: a recovered fleet re-persists via "
-          "`index build --shards` from the recovered graph"));
-    }
-    ShardedEngineOptions options;
-    options.num_shards = shards;
-    options.journal_path = journal_path;
-    options.engine.num_threads = IntFlag(flags, "threads", 0);
-    Result<std::unique_ptr<ShardedEngine>> recovered =
-        ShardedEngine::Recover(index_path, options, &info);
-    if (!recovered.ok()) return Fail(recovered.status());
-    const EngineStats stats = (*recovered)->Stats();
-    std::printf("recovered %s.s0..s%u + %s in %.3fs\n", index_path.c_str(),
-                shards - 1, journal_path.c_str(), timer.ElapsedSeconds());
-    std::printf("recovery report: %llu records replayed, %llu torn bytes "
-                "discarded, journal %s\n",
-                static_cast<unsigned long long>(info.records_replayed),
-                static_cast<unsigned long long>(info.torn_bytes_discarded),
-                info.journal_created ? "created empty" : "existing");
-    std::printf("serving epoch %llu (%zu vertices, %zu edges per replica)\n",
-                static_cast<unsigned long long>(stats.snapshot_epoch),
-                (*recovered)->shard(0).graph().NumVertices(),
-                (*recovered)->shard(0).graph().NumEdges());
-    return 0;
-  }
-
   EngineOptions options;
   options.index_path = index_path;
   options.journal_path = journal_path;
   options.num_threads = IntFlag(flags, "threads", 0);
   Result<std::unique_ptr<Engine>> recovered = Engine::Recover(options, &info);
   if (!recovered.ok()) return Fail(recovered.status());
-  engine = std::move(*recovered);
+  const std::unique_ptr<Engine> engine = std::move(*recovered);
   std::printf("recovered %s + %s in %.3fs\n", index_path.c_str(),
               journal_path.c_str(), timer.ElapsedSeconds());
   std::printf("recovery report: %llu records replayed, %llu torn bytes "
@@ -592,6 +564,9 @@ int CmdRecover(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdStats(const std::map<std::string, std::string>& flags) {
+  constexpr const char* kFlags[] = {"graph"};
+  const Status flags_ok = CheckFlags(flags, "stats", {kFlags});
+  if (!flags_ok.ok()) return Fail(flags_ok);
   const std::string graph_path = FlagOr(flags, "graph", "graph.bin");
   Result<Graph> graph = ReadGraphBinary(graph_path);
   if (!graph.ok()) return Fail(graph.status());
@@ -665,43 +640,6 @@ Result<std::unique_ptr<Engine>> OpenEngine(
   return Engine::Open(options);
 }
 
-// Sharded deployments: opens the artifact family `<index>.s0..s{N-1}` when
-// present, otherwise builds the shards in-process from --graph (like
-// Engine::Open's missing-index path, but nothing is persisted — use
-// `index build --shards` to write the family). Path fields of EngineOptions
-// are ignored by the coordinator; the remaining online flags apply per shard.
-Result<std::unique_ptr<ShardedEngine>> OpenShardedEngine(
-    const std::map<std::string, std::string>& flags, std::uint32_t num_shards) {
-  ShardedEngineOptions options;
-  options.num_shards = num_shards;
-  options.engine.precompute.r_max =
-      static_cast<std::uint32_t>(IntFlag(flags, "rmax", 3));
-  options.engine.num_threads = IntFlag(flags, "threads", 0);
-  options.engine.enable_result_cache = FlagOr(flags, "cache", "0") == "1";
-  options.engine.cache_max_bytes = IntFlag(flags, "cache-max-mb", 64) << 20;
-  options.engine.mmap_populate = FlagOr(flags, "mmap-populate", "0") == "1";
-  options.engine.mmap_huge_pages = FlagOr(flags, "mmap-hugepages", "0") == "1";
-  const std::string prefix = FlagOr(flags, "index", "index.bin");
-  if (std::filesystem::exists(ShardedEngine::ShardArtifactPath(prefix, 0))) {
-    return ShardedEngine::Open(prefix, options);
-  }
-  const std::string graph_path = FlagOr(flags, "graph", "graph.bin");
-  Result<Graph> graph = ReadGraphBinary(graph_path);
-  if (!graph.ok()) return graph.status();
-  return ShardedEngine::FromGraph(std::move(*graph), options);
-}
-
-// Sharded artifacts keep identity external ids (Open enforces it), so the
-// centers a sharded deployment returns are already in the original id space.
-void PrintCommunitiesRaw(const std::vector<CommunityResult>& communities) {
-  for (std::size_t i = 0; i < communities.size(); ++i) {
-    const CommunityResult& c = communities[i];
-    std::printf("#%zu center=%u members=%zu sigma=%.3f influenced=%zu\n", i + 1,
-                c.community.center, c.community.size(), c.score(),
-                c.influence.size());
-  }
-}
-
 Result<DTopLOptions> BuildDTopLOptions(
     const std::map<std::string, std::string>& flags) {
   DTopLOptions options;
@@ -725,67 +663,14 @@ void PrintTruncation(bool truncated, double upper_bound) {
               "remaining score upper bound %.3f\n", upper_bound);
 }
 
-// query/dtopl against a sharded deployment: route → per-shard search →
-// commutative merge; answers are byte-identical to a single engine over the
-// same graph, so the printed output only differs by the routing line.
-int CmdQuerySharded(const std::map<std::string, std::string>& flags,
-                    bool diversified, std::uint32_t shards) {
-  Result<std::unique_ptr<ShardedEngine>> engine =
-      OpenShardedEngine(flags, shards);
-  if (!engine.ok()) return Fail(engine.status());
-  Result<Query> query = BuildQuery(flags);
-  if (!query.ok()) return Fail(query.status());
-
-  const double deadline_ms = DoubleFlag(flags, "deadline-ms", 0.0);
-  const bool progressive = FlagOr(flags, "progressive", "0") == "1";
-  const bool controlled = progressive || deadline_ms > 0.0;
-
-  if (!diversified) {
-    Result<TopLResult> answer(TopLResult{});
-    if (controlled) {
-      ProgressiveOptions prog;
-      prog.deadline_seconds = deadline_ms / 1000.0;
-      prog.chunk_size = static_cast<std::uint32_t>(IntFlag(flags, "chunk", 8));
-      answer = (*engine)->SearchProgressive(*query, prog);
-    } else {
-      answer = (*engine)->Search(*query);
-    }
-    if (!answer.ok()) return Fail(answer.status());
-    PrintCommunitiesRaw(answer->communities);
-    PrintTruncation(answer->truncated, answer->score_upper_bound);
-  } else {
-    if (controlled) {
-      return Fail(Status::InvalidArgument(
-          "--progressive/--deadline-ms are not supported for dtopl with "
-          "--shards; drop the budget flags or serve unsharded"));
-    }
-    Result<DTopLOptions> options = BuildDTopLOptions(flags);
-    if (!options.ok()) return Fail(options.status());
-    Result<DTopLResult> answer = (*engine)->SearchDiversified(*query, *options);
-    if (!answer.ok()) return Fail(answer.status());
-    PrintCommunitiesRaw(answer->communities);
-    PrintTruncation(answer->truncated, answer->score_upper_bound);
-    std::printf("diversity score D(S) = %.3f\n", answer->diversity_score);
-  }
-
-  const std::vector<std::uint64_t> routed = (*engine)->ShardOps();
-  std::printf("routed to %zu/%u shards [",
-              static_cast<std::size_t>(
-                  std::count_if(routed.begin(), routed.end(),
-                                [](std::uint64_t ops) { return ops > 0; })),
-              (*engine)->num_shards());
-  for (std::size_t s = 0; s < routed.size(); ++s) {
-    std::printf("%s%llu", s == 0 ? "" : ", ",
-                static_cast<unsigned long long>(routed[s]));
-  }
-  std::printf("]\n");
-  return 0;
-}
-
 int CmdQuery(const std::map<std::string, std::string>& flags, bool diversified) {
-  const std::uint32_t shards =
-      static_cast<std::uint32_t>(IntFlag(flags, "shards", 0));
-  if (shards > 0) return CmdQuerySharded(flags, diversified, shards);
+  const Status flags_ok =
+      diversified ? CheckFlags(flags, "dtopl",
+                               {kEngineFlags, kQueryFlags, kBudgetFlags,
+                                kDTopLFlags})
+                  : CheckFlags(flags, "query",
+                               {kEngineFlags, kQueryFlags, kBudgetFlags});
+  if (!flags_ok.ok()) return Fail(flags_ok);
   Result<std::unique_ptr<Engine>> engine = OpenEngine(flags);
   if (!engine.ok()) return Fail(engine.status());
   Result<Query> query = BuildQuery(flags);
@@ -910,6 +795,11 @@ Result<std::vector<BatchEntry>> ParseQueryFile(
 }
 
 int CmdBatch(const std::map<std::string, std::string>& flags) {
+  constexpr const char* kFlags[] = {"queries", "k", "r", "theta", "L",
+                                    "repeat", "quiet"};
+  const Status flags_ok =
+      CheckFlags(flags, "batch", {kEngineFlags, kDTopLFlags, kFlags});
+  if (!flags_ok.ok()) return Fail(flags_ok);
   const std::string queries_path = FlagOr(flags, "queries", "");
   if (queries_path.empty()) {
     return Fail(Status::InvalidArgument("batch needs --queries=FILE"));
@@ -1002,30 +892,15 @@ int CmdBatch(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdServeBench(const std::map<std::string, std::string>& flags) {
-  // --shards=N swaps the served deployment: the workload, injection, and
-  // report are identical, shard(0)'s full replica stands in for the single
-  // engine's graph/precompute when deriving the stream, and the report grows
-  // the per-shard routed-op counts + imbalance.
-  const std::uint32_t shards =
-      static_cast<std::uint32_t>(IntFlag(flags, "shards", 0));
-  std::unique_ptr<Engine> engine;
-  std::unique_ptr<ShardedEngine> sharded;
-  std::unique_ptr<loadgen::ServingTarget> target;
-  const Engine* probe = nullptr;
-  if (shards > 0) {
-    Result<std::unique_ptr<ShardedEngine>> opened =
-        OpenShardedEngine(flags, shards);
-    if (!opened.ok()) return Fail(opened.status());
-    sharded = std::move(*opened);
-    target = std::make_unique<loadgen::ShardedTarget>(sharded.get());
-    probe = &sharded->shard(0);
-  } else {
-    Result<std::unique_ptr<Engine>> opened = OpenEngine(flags);
-    if (!opened.ok()) return Fail(opened.status());
-    engine = std::move(*opened);
-    target = std::make_unique<loadgen::EngineTarget>(engine.get());
-    probe = engine.get();
-  }
+  constexpr const char* kFlags[] = {
+      "mix", "seed", "signatures", "zipf", "popularity", "workers", "qps",
+      "seconds", "ops", "deadline-ms", "warmup-seconds", "slo-qps",
+      "slo-p99-ms", "slo-p999-ms", "json"};
+  const Status flags_ok =
+      CheckFlags(flags, "serve-bench", {kEngineFlags, kFlags});
+  if (!flags_ok.ok()) return Fail(flags_ok);
+  Result<std::unique_ptr<Engine>> engine = OpenEngine(flags);
+  if (!engine.ok()) return Fail(engine.status());
 
   Result<loadgen::WorkloadSpec> spec =
       loadgen::WorkloadSpec::Named(FlagOr(flags, "mix", "mixed"));
@@ -1050,7 +925,7 @@ int CmdServeBench(const std::map<std::string, std::string>& flags) {
   // band to r_max and snap thetas to the precompute grid, preserving the
   // mix's own band shape (repeat_heavy pins single values so cache keys
   // repeat; overwriting its bands with the full grid would destroy that).
-  const PrecomputedData& pre = probe->precomputed();
+  const PrecomputedData& pre = (*engine)->precomputed();
   std::vector<std::uint32_t> radii;
   for (std::uint32_t r : spec->params.radius_values) {
     if (r >= 1 && r <= pre.r_max()) radii.push_back(r);
@@ -1073,7 +948,7 @@ int CmdServeBench(const std::map<std::string, std::string>& flags) {
   }
   spec->params.theta_values = std::move(thetas);
   Result<loadgen::WorkloadGenerator> generator =
-      loadgen::WorkloadGenerator::Create(*spec, probe->graph());
+      loadgen::WorkloadGenerator::Create(*spec, (*engine)->graph());
   if (!generator.ok()) return Fail(generator.status());
 
   loadgen::InjectorOptions inject;
@@ -1090,12 +965,12 @@ int CmdServeBench(const std::map<std::string, std::string>& flags) {
     warmup.duration_seconds = warmup_seconds;
     warmup.max_ops = 0;
     Result<loadgen::LoadReport> ignored =
-        loadgen::LoadInjector(target.get(), *generator, warmup).Run();
+        loadgen::LoadInjector(engine->get(), *generator, warmup).Run();
     if (!ignored.ok()) return Fail(ignored.status());
   }
 
   Result<loadgen::LoadReport> report =
-      loadgen::LoadInjector(target.get(), *generator, inject).Run();
+      loadgen::LoadInjector(engine->get(), *generator, inject).Run();
   if (!report.ok()) return Fail(report.status());
   report->stream_digest = generator->StreamDigest(4096);
   std::printf("%s", report->ToString().c_str());
