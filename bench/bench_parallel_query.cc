@@ -123,6 +123,7 @@ struct RunResult {
   double queries_per_s = 0.0;
   double speedup = 1.0;
   std::uint64_t candidates_refined = 0;
+  std::uint64_t propagations_avoided = 0;
   bool exact_match = true;
 };
 
@@ -181,14 +182,16 @@ int main(int argc, char** argv) {
     }
     sequential.total_seconds += best;
     sequential.candidates_refined += expected[i].stats.candidates_refined;
+    sequential.propagations_avoided += expected[i].stats.propagations_avoided;
   }
   sequential.queries_per_s =
       static_cast<double>(queries.size()) / sequential.total_seconds;
-  std::printf("%8s %12s %12s %9s %9s %8s\n", "threads", "total(s)", "qps",
-              "speedup", "refined", "exact");
-  std::printf("%8s %12.4f %12.1f %9s %9llu %8s\n", "seq",
+  std::printf("%8s %12s %12s %9s %9s %9s %8s\n", "threads", "total(s)", "qps",
+              "speedup", "refined", "avoided", "exact");
+  std::printf("%8s %12.4f %12.1f %9s %9llu %9llu %8s\n", "seq",
               sequential.total_seconds, sequential.queries_per_s, "1.00x",
               static_cast<unsigned long long>(sequential.candidates_refined),
+              static_cast<unsigned long long>(sequential.propagations_avoided),
               "ref");
 
   // Parallel runs: one engine per thread count, queries served one at a time
@@ -225,6 +228,7 @@ int main(int argc, char** argv) {
         if (rep == 0 || elapsed < best) best = elapsed;
         if (rep == 0) {
           run.candidates_refined += result->stats.candidates_refined;
+          run.propagations_avoided += result->stats.propagations_avoided;
           if (!SameCommunities(result->communities, expected[i].communities) ||
               result->truncated) {
             run.exact_match = false;
@@ -240,9 +244,10 @@ int main(int argc, char** argv) {
     }
     run.queries_per_s = static_cast<double>(queries.size()) / run.total_seconds;
     run.speedup = sequential.total_seconds / run.total_seconds;
-    std::printf("%8zu %12.4f %12.1f %8.2fx %9llu %8s\n", threads,
+    std::printf("%8zu %12.4f %12.1f %8.2fx %9llu %9llu %8s\n", threads,
                 run.total_seconds, run.queries_per_s, run.speedup,
                 static_cast<unsigned long long>(run.candidates_refined),
+                static_cast<unsigned long long>(run.propagations_avoided),
                 run.exact_match ? "yes" : "NO");
     runs.push_back(run);
 
@@ -274,22 +279,26 @@ int main(int argc, char** argv) {
                "  \"num_queries\": %zu,\n"
                "  \"exact_match\": %s,\n"
                "  \"sequential\": {\"total_seconds\": %.6f, \"queries_per_s\": "
-               "%.3f, \"candidates_refined\": %llu},\n"
+               "%.3f, \"candidates_refined\": %llu, "
+               "\"propagations_avoided\": %llu},\n"
                "  \"first_update_seconds\": %.6f,\n"
                "  \"runs\": [\n",
                flags.vertices, static_cast<unsigned long long>(flags.seed),
                queries.size(), all_exact ? "true" : "false",
                sequential.total_seconds, sequential.queries_per_s,
                static_cast<unsigned long long>(sequential.candidates_refined),
+               static_cast<unsigned long long>(sequential.propagations_avoided),
                first_update_seconds);
   for (std::size_t i = 0; i < runs.size(); ++i) {
     std::fprintf(json,
                  "    {\"threads\": %zu, \"total_seconds\": %.6f, "
                  "\"queries_per_s\": %.3f, \"speedup\": %.3f, "
-                 "\"candidates_refined\": %llu, \"exact_match\": %s}%s\n",
+                 "\"candidates_refined\": %llu, \"propagations_avoided\": %llu, "
+                 "\"exact_match\": %s}%s\n",
                  runs[i].threads, runs[i].total_seconds, runs[i].queries_per_s,
                  runs[i].speedup,
                  static_cast<unsigned long long>(runs[i].candidates_refined),
+                 static_cast<unsigned long long>(runs[i].propagations_avoided),
                  runs[i].exact_match ? "true" : "false",
                  i + 1 < runs.size() ? "," : "");
   }

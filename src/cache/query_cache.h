@@ -48,12 +48,6 @@ struct CacheKey {
   std::uint64_t theta_bits = 0;
   /// QueryOptions toggles, packed LSB-first in declaration order.
   std::uint8_t option_bits = 0;
-  /// Bit pattern of QueryOptions::initial_threshold. A floor-seeded search
-  /// answers a different question than an unseeded one — it may omit
-  /// communities below the seed — so the seed is a key dimension. Bit-exact
-  /// for the same reason as theta_bits; the −∞ default gives unseeded
-  /// queries one canonical pattern.
-  std::uint64_t initial_threshold_bits = 0;
 
   // DTopL-only dimensions; zero for TopL keys.
   std::uint32_t n_factor = 0;

@@ -2,7 +2,6 @@
 #define TOPL_CORE_QUERY_H_
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -52,7 +51,9 @@ struct Query {
 struct QueryOptions {
   bool use_keyword_pruning = true;  // Lemmas 1 / 5
   bool use_support_pruning = true;  // Lemmas 2 / 6
-  bool use_score_pruning = true;    // Lemmas 4 / 7 + heap early termination
+  /// Lemmas 4 / 7, heap early termination, and the post-extraction
+  /// member-ball test (core/topl_detector.h, MemberBallBound).
+  bool use_score_pruning = true;
   /// Within support pruning, also apply the strengthened center-trussness
   /// bound (DESIGN.md §3). Off = the paper's max-ball-support rule only;
   /// the ablation benchmark compares the two.
@@ -62,17 +63,6 @@ struct QueryOptions {
   /// triangle substrate. Answers are byte-identical either way; this switch
   /// exists for the equivalence sweep and the bench_seed_extraction A/B.
   bool use_reference_extraction = false;
-  /// External score floor seeding the collector's σ_L threshold before any
-  /// community is collected: candidates whose upper bound is strictly below
-  /// it are pruned exactly as if L communities at this score were already
-  /// held. The caller asserts that `top_l` communities with score ≥ this
-  /// value exist elsewhere (in another partial search it merges this one
-  /// with), so the pruned candidates provably cannot enter the *merged*
-  /// top-L — the returned result then only lists communities that could.
-  /// −∞ (the default) disables seeding. Only effective together with
-  /// use_score_pruning and a query theta on the precompute grid, mirroring
-  /// the internal threshold.
-  double initial_threshold = -std::numeric_limits<double>::infinity();
 };
 
 /// \brief Counters filled during query processing.
@@ -94,6 +84,10 @@ struct QueryStats {
   /// Refined candidates the extractor's ego-net test rejected before
   /// materializing their ball (a subset of the ones not found).
   std::uint64_t ego_rejected = 0;
+  /// Found communities whose MIA propagation (and top-L offer) was skipped
+  /// because the precomputed ball bound of one of their members was already
+  /// below σ_L (a subset of communities_found).
+  std::uint64_t propagations_avoided = 0;
 
   /// Triangle-substrate counters (truss/local_truss.h): alive triangles
   /// enumerated while verifying candidates, and fixpoint kill rounds whose
@@ -125,6 +119,7 @@ struct QueryStats {
     candidates_refined += other.candidates_refined;
     communities_found += other.communities_found;
     ego_rejected += other.ego_rejected;
+    propagations_avoided += other.propagations_avoided;
     triangles_inspected += other.triangles_inspected;
     support_recomputes_avoided += other.support_recomputes_avoided;
     waves += other.waves;
@@ -142,6 +137,7 @@ struct QueryStats {
            " refined=" + std::to_string(candidates_refined) +
            " found=" + std::to_string(communities_found) +
            " ego_rejected=" + std::to_string(ego_rejected) +
+           " propagations_avoided=" + std::to_string(propagations_avoided) +
            " triangles=" + std::to_string(triangles_inspected) +
            " recomputes_avoided=" + std::to_string(support_recomputes_avoided) +
            " waves=" + std::to_string(waves) +

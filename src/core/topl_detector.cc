@@ -16,6 +16,7 @@ namespace topl {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+constexpr std::uint32_t kUnreached = std::numeric_limits<std::uint32_t>::max();
 
 // Merge stage: keeps the best L communities seen so far under the canonical
 // total order (σ desc, center asc) and the running threshold σ_L (−∞ until L
@@ -215,15 +216,21 @@ struct ChunkOutput {
   std::uint64_t refined = 0;
   std::uint64_t skipped = 0;  // deadline/cancel hit before these candidates
   std::uint64_t ego_rejected = 0;
+  std::uint64_t propagations_avoided = 0;  // found, but never propagated
   std::uint64_t triangles_inspected = 0;
   std::uint64_t support_recomputes_avoided = 0;
 };
 
+// `floor` is σ_L at the start of the wave (−∞ when it is not yet valid or
+// score pruning is off). σ_L only rises while the wave merges, so a
+// community the member-ball test places below the floor is also below the
+// σ_L it would be offered against.
 void RefineChunk(std::span<const VertexId> candidates, const Query& query,
-                 SeedCommunityExtractor::Mode mode,
-                 SeedCommunityExtractor& extractor, PropagationEngine& engine,
-                 const CancelToken& cancel, const DeadlineClock& deadline,
-                 ChunkOutput* out) {
+                 SeedCommunityExtractor::Mode mode, const Graph& g,
+                 const PrecomputedData& pre, int z, double floor,
+                 SeedCommunityExtractor& extractor, MemberBallBound& ball_bound,
+                 PropagationEngine& engine, const CancelToken& cancel,
+                 const DeadlineClock& deadline, ChunkOutput* out) {
   if (cancel.cancelled() || deadline.Expired()) {
     out->skipped += candidates.size();
     return;
@@ -236,6 +243,12 @@ void RefineChunk(std::span<const VertexId> candidates, const Query& query,
     out->triangles_inspected += extractor.last_triangles_inspected();
     out->support_recomputes_avoided += extractor.last_support_recomputes_avoided();
     if (!found) continue;
+    if (floor > kNegInf &&
+        ball_bound.Below(g, pre, candidate.community.vertices,
+                         static_cast<std::uint32_t>(z), floor)) {
+      ++out->propagations_avoided;
+      continue;
+    }
     candidate.influence = engine.Compute(candidate.community.vertices, query.theta);
     out->found.push_back(std::move(candidate));
   }
@@ -243,16 +256,86 @@ void RefineChunk(std::span<const VertexId> candidates, const Query& query,
 
 }  // namespace
 
+bool MemberBallBound::Below(const Graph& g, const PrecomputedData& pre,
+                            std::span<const VertexId> members, std::uint32_t z,
+                            double floor) {
+  bool built = false;
+  for (std::uint32_t i = 0; i < members.size(); ++i) {
+    const VertexId u = members[i];
+    // Balls nest, so hop(u, 1) bounds every larger radius from below: a
+    // member whose 1-ball already reaches the floor cannot help.
+    if (!(pre.ScoreBound(u, 1, z) < floor)) continue;
+    if (!built) {
+      BuildAdjacency(g, members);
+      built = true;
+    }
+    if (BoundBelow(pre, u, i, z, floor)) return true;
+  }
+  return false;
+}
+
+void MemberBallBound::BuildAdjacency(const Graph& g,
+                                     std::span<const VertexId> members) {
+  const std::size_t n = members.size();
+  offsets_.resize(n + 1);
+  offsets_[0] = 0;
+  adjacency_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    // Arcs and members are both sorted by vertex id.
+    const std::span<const Graph::Arc> arcs = g.Neighbors(members[i]);
+    auto arc = arcs.begin();
+    for (std::uint32_t m = 0; m < n && arc != arcs.end(); ++m) {
+      arc = std::lower_bound(arc, arcs.end(), members[m],
+                             [](const Graph::Arc& a, VertexId v) { return a.to < v; });
+      if (arc != arcs.end() && arc->to == members[m]) {
+        adjacency_.push_back(m);
+        ++arc;
+      }
+    }
+    offsets_[i + 1] = static_cast<std::uint32_t>(adjacency_.size());
+  }
+}
+
+bool MemberBallBound::BoundBelow(const PrecomputedData& pre, VertexId u,
+                                 std::uint32_t source, std::uint32_t z,
+                                 double floor) {
+  const std::size_t n = offsets_.size() - 1;
+  dist_.assign(n, kUnreached);
+  queue_.clear();
+  dist_[source] = 0;
+  queue_.push_back(source);
+  // Levels up to 1 are cleared by the caller's radius-1 test (a lone member
+  // lies in hop(u, 1) too).
+  std::uint32_t cleared = 1;
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    const std::uint32_t x = queue_[head];
+    const std::uint32_t next = dist_[x] + 1;
+    for (std::uint32_t e = offsets_[x]; e < offsets_[x + 1]; ++e) {
+      const std::uint32_t y = adjacency_[e];
+      if (dist_[y] != kUnreached) continue;
+      if (next > cleared) {
+        // A new BFS level: ecc(u) ≥ next, and the bound only grows with
+        // the radius, so stop as soon as one level fails.
+        if (next > pre.r_max() || !(pre.ScoreBound(u, next, z) < floor)) {
+          return false;
+        }
+        cleared = next;
+      }
+      dist_[y] = next;
+      queue_.push_back(y);
+    }
+  }
+  return queue_.size() == n;
+}
+
 TopLDetector::TopLDetector(const Graph& g, const PrecomputedData& pre,
                            const TreeIndex& tree)
     : graph_(&g),
       pre_(&pre),
       tree_(&tree),
-      extractor_(g),
+      scratch_(g),
       engine_(g),
-      extractor_pool_([graph = &g] {
-        return std::make_unique<SeedCommunityExtractor>(*graph);
-      }),
+      scratch_pool_([graph = &g] { return std::make_unique<RefineScratch>(*graph); }),
       engine_pool_(g) {}
 
 Result<TopLResult> TopLDetector::Search(const Query& query,
@@ -313,15 +396,9 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
   std::vector<CommunityResult> progressive_snapshot;
   bool stopped = false;
 
-  // External floor seeding (QueryOptions::initial_threshold): the caller
-  // vouches for L communities at or above this score existing outside this
-  // search, so the threshold is valid before the local collector fills. All
-  // comparisons stay strict (<), preserving the canonical tie handling.
-  const bool seeded = options.initial_threshold > kNegInf;
-  const auto threshold_valid = [&] { return collector.Full() || seeded; };
-  const auto threshold = [&] {
-    return std::max(collector.threshold(), options.initial_threshold);
-  };
+  // Every σ_L test below (candidate bound, member-ball bound) needs a valid
+  // grid threshold and the score-pruning switch.
+  const bool live_pruning = options.use_score_pruning && z >= 0;
 
   while (!plan.Done() && !stopped) {
     // Checkpoint: deadline / cancellation, before planning the next wave.
@@ -335,7 +412,8 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
     // their parent's): the anytime gap if the wave is cut short mid-scoring.
     const double wave_bound = plan.FrontierBound();
     wave.clear();
-    plan.Gather(threshold_valid(), threshold(), wave_target, &wave, &stats);
+    plan.Gather(collector.Full(), collector.threshold(), wave_target, &wave,
+                &stats);
     if (wave.empty()) continue;  // everything pruned; heap may be done now
     ++stats.waves;
 
@@ -347,29 +425,36 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
       // looking at the next candidate lets σ_L improvements earned inside
       // this very wave (e.g. within one gathered leaf) prune its remaining
       // candidates — the classic loop's refine-then-reprune cadence.
-      const bool live_pruning = options.use_score_pruning && z >= 0;
       for (std::size_t i = 0; i < wave.size(); ++i) {
         if (control.cancel.cancelled() || deadline.Expired()) {
           skipped = wave.size() - i;
           break;
         }
         const VertexId v = wave[i];
-        if (live_pruning && threshold_valid() &&
+        if (live_pruning && collector.Full() &&
             pre_->ScoreBound(v, query.radius, static_cast<std::uint32_t>(z)) <
-                threshold()) {
+                collector.threshold()) {
           ++stats.pruned_score;
           continue;
         }
         ++stats.candidates_refined;
         CommunityResult candidate;
+        SeedCommunityExtractor& extractor = scratch_.extractor;
         const bool found =
-            extractor_.Extract(v, query, extraction_mode, &candidate.community);
-        stats.ego_rejected += extractor_.last_ego_rejected();
-        stats.triangles_inspected += extractor_.last_triangles_inspected();
+            extractor.Extract(v, query, extraction_mode, &candidate.community);
+        stats.ego_rejected += extractor.last_ego_rejected();
+        stats.triangles_inspected += extractor.last_triangles_inspected();
         stats.support_recomputes_avoided +=
-            extractor_.last_support_recomputes_avoided();
+            extractor.last_support_recomputes_avoided();
         if (!found) continue;
         ++stats.communities_found;
+        if (live_pruning && collector.Full() &&
+            scratch_.ball_bound.Below(*graph_, *pre_, candidate.community.vertices,
+                                      static_cast<std::uint32_t>(z),
+                                      collector.threshold())) {
+          ++stats.propagations_avoided;
+          continue;
+        }
         candidate.influence =
             engine_.Compute(candidate.community.vertices, query.theta);
         merged_any |= collector.Offer(std::move(candidate));
@@ -387,8 +472,10 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
       std::vector<ChunkOutput> outputs(num_chunks);
       std::atomic<std::size_t> next_chunk{0};
       const std::span<const VertexId> wave_span(wave);
+      const double floor =
+          live_pruning && collector.Full() ? collector.threshold() : kNegInf;
       auto score_worker = [&, this] {
-        const LeasePool<SeedCommunityExtractor>::Lease extractor(&extractor_pool_);
+        const LeasePool<RefineScratch>::Lease scratch(&scratch_pool_);
         const PropagationEnginePool::Lease engine(&engine_pool_);
         for (;;) {
           const std::size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
@@ -396,8 +483,9 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
           const std::size_t begin = c * chunk_size;
           const std::size_t end = std::min(wave_span.size(), begin + chunk_size);
           RefineChunk(wave_span.subspan(begin, end - begin), query,
-                      extraction_mode, *extractor, *engine, control.cancel,
-                      deadline, &outputs[c]);
+                      extraction_mode, *graph_, *pre_, z, floor,
+                      scratch->extractor, scratch->ball_bound, *engine,
+                      control.cancel, deadline, &outputs[c]);
         }
       };
       const std::size_t num_workers =
@@ -408,8 +496,9 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
       stats.parallel_chunks += num_chunks;
       for (ChunkOutput& out : outputs) {
         stats.candidates_refined += out.refined;
-        stats.communities_found += out.found.size();
+        stats.communities_found += out.found.size() + out.propagations_avoided;
         stats.ego_rejected += out.ego_rejected;
+        stats.propagations_avoided += out.propagations_avoided;
         stats.triangles_inspected += out.triangles_inspected;
         stats.support_recomputes_avoided += out.support_recomputes_avoided;
         skipped += out.skipped;

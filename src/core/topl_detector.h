@@ -1,6 +1,7 @@
 #ifndef TOPL_CORE_TOPL_DETECTOR_H_
 #define TOPL_CORE_TOPL_DETECTOR_H_
 
+#include <span>
 #include <vector>
 
 #include "common/lease_pool.h"
@@ -16,6 +17,46 @@
 
 namespace topl {
 
+/// \brief The post-extraction score test: a found seed community g is
+/// skipped, before its MIA propagation, when some member's precomputed ball
+/// bound is already below σ_L.
+///
+/// Let ecc(u) be the eccentricity of member u within the induced subgraph
+/// G[g]. Distances in G[g] are at least the full-graph distances, so
+/// g ⊆ hop(u, ecc(u)); σ is monotone in the seed set and θ_z ≤ θ, so
+/// σ(g) ≤ σ_z(hop(u, ecc(u))) = ScoreBound(u, ecc(u), z). When that bound is
+/// strictly below σ_L, σ(g) < σ_L and the collector would reject g under
+/// either branch of the canonical order. A found community (a few vertices)
+/// is far smaller than its center's r-ball, so this bound is much sharper
+/// than the Lemma 4 test on hop(center, r) that admitted the candidate.
+///
+/// Cost: balls nest, so a member whose ScoreBound(u, 1, z) is not below the
+/// floor is skipped without a BFS, and a BFS stops at the first level whose
+/// bound reaches the floor or that lies beyond r_max. The scratch (the local
+/// adjacency of G[g] and the BFS arrays) is reused, so a warm test
+/// allocates nothing. One instance per thread.
+class MemberBallBound {
+ public:
+  /// True when some u ∈ `members` (sorted ascending, as
+  /// SeedCommunity::vertices) reaches every member within ecc(u) ≤ r_max
+  /// hops in G[members] and pre.ScoreBound(u, max(ecc(u), 1), z) < floor.
+  bool Below(const Graph& g, const PrecomputedData& pre,
+             std::span<const VertexId> members, std::uint32_t z, double floor);
+
+ private:
+  /// Fills the local CSR of G[members] (indices into `members`).
+  void BuildAdjacency(const Graph& g, std::span<const VertexId> members);
+  /// BFS from local vertex `source`; true when it reaches every member and
+  /// the bound at its eccentricity is below the floor.
+  bool BoundBelow(const PrecomputedData& pre, VertexId u, std::uint32_t source,
+                  std::uint32_t z, double floor);
+
+  std::vector<std::uint32_t> offsets_;
+  std::vector<std::uint32_t> adjacency_;
+  std::vector<std::uint32_t> dist_;
+  std::vector<std::uint32_t> queue_;
+};
+
 /// \brief Online TopL-ICDE processing (Algorithm 3) as a staged
 /// plan → score → merge pipeline.
 ///
@@ -27,7 +68,8 @@ namespace topl {
 ///  - Score: each wave's candidates are refined — maximal seed community
 ///    extraction plus exact MIA propagation — either inline (sequential) or
 ///    fanned out in chunks over a ThreadPool (SearchControl::pool), with
-///    share-nothing per-chunk scratch.
+///    share-nothing per-chunk scratch. Once σ_L is valid, a found community
+///    that MemberBallBound places strictly below it skips propagation.
 ///  - Merge: refined communities fold into a bounded top-L collector ordered
 ///    by the canonical total order (σ desc, center asc), whose L-th entry
 ///    drives the score pruning / early-termination threshold of later waves.
@@ -68,20 +110,27 @@ class TopLDetector {
 
   /// Per-worker refinement scratch created so far (== peak scoring-worker
   /// concurrency of any single parallel query); exposed for tests.
-  std::size_t pooled_scratch() const { return extractor_pool_.size(); }
+  std::size_t pooled_scratch() const { return scratch_pool_.size(); }
 
  private:
   const Graph* graph_;
   const PrecomputedData* pre_;
   const TreeIndex* tree_;
-  SeedCommunityExtractor extractor_;  // sequential-path scratch
+  // Extraction and member-ball scratch of one scoring worker.
+  struct RefineScratch {
+    explicit RefineScratch(const Graph& g) : extractor(g) {}
+    SeedCommunityExtractor extractor;
+    MemberBallBound ball_bound;
+  };
+
+  RefineScratch scratch_;  // sequential path
   PropagationEngine engine_;
 
   // Per-worker scratch for the parallel scoring stage, grown lazily to the
   // peak number of concurrent scoring workers and reused across waves and
   // queries: share-nothing extraction scratch here, the propagation side
   // from the influence layer's own pool (reentrant chunkable evaluation).
-  LeasePool<SeedCommunityExtractor> extractor_pool_;
+  LeasePool<RefineScratch> scratch_pool_;
   PropagationEnginePool engine_pool_;
 };
 

@@ -213,6 +213,7 @@ class EngineStatsShard {
     candidates_refined_.fetch_add(qs.candidates_refined, relaxed);
     communities_found_.fetch_add(qs.communities_found, relaxed);
     ego_rejected_.fetch_add(qs.ego_rejected, relaxed);
+    propagations_avoided_.fetch_add(qs.propagations_avoided, relaxed);
     triangles_inspected_.fetch_add(qs.triangles_inspected, relaxed);
     support_recomputes_avoided_.fetch_add(qs.support_recomputes_avoided, relaxed);
     waves_.fetch_add(qs.waves, relaxed);
@@ -246,6 +247,7 @@ class EngineStatsShard {
     shard.candidates_refined = candidates_refined_.load(relaxed);
     shard.communities_found = communities_found_.load(relaxed);
     shard.ego_rejected = ego_rejected_.load(relaxed);
+    shard.propagations_avoided = propagations_avoided_.load(relaxed);
     shard.triangles_inspected = triangles_inspected_.load(relaxed);
     shard.support_recomputes_avoided = support_recomputes_avoided_.load(relaxed);
     shard.waves = waves_.load(relaxed);
@@ -289,6 +291,7 @@ class EngineStatsShard {
   std::atomic<std::uint64_t> candidates_refined_{0};
   std::atomic<std::uint64_t> communities_found_{0};
   std::atomic<std::uint64_t> ego_rejected_{0};
+  std::atomic<std::uint64_t> propagations_avoided_{0};
   std::atomic<std::uint64_t> triangles_inspected_{0};
   std::atomic<std::uint64_t> support_recomputes_avoided_{0};
   std::atomic<std::uint64_t> waves_{0};

@@ -322,6 +322,7 @@ TEST_F(EngineTest, QueryStatsMergeHelper) {
   b.triangles_inspected = 30;
   b.support_recomputes_avoided = 2;
   b.ego_rejected = 3;
+  b.propagations_avoided = 6;
   b.elapsed_seconds = 0.5;
   a += b;
   EXPECT_EQ(a.heap_pops, 8u);
@@ -334,6 +335,7 @@ TEST_F(EngineTest, QueryStatsMergeHelper) {
   EXPECT_EQ(a.triangles_inspected, 40u);
   EXPECT_EQ(a.support_recomputes_avoided, 2u);
   EXPECT_EQ(a.ego_rejected, 3u);
+  EXPECT_EQ(a.propagations_avoided, 6u);
   EXPECT_DOUBLE_EQ(a.elapsed_seconds, 0.75);
 }
 
@@ -345,9 +347,11 @@ TEST_F(EngineTest, SubstrateCountersReachEngineStats) {
   std::uint64_t triangles = 0;
   std::uint64_t ego_rejected = 0;
   std::uint64_t parallel_chunks = 0;
+  std::uint64_t propagations_avoided = 0;
   const auto account = [&](const QueryStats& stats) {
     triangles += stats.triangles_inspected;
     ego_rejected += stats.ego_rejected;
+    propagations_avoided += stats.propagations_avoided;
     parallel_chunks += stats.parallel_chunks;
     if (stats.communities_found > 0) {
       // Extracting a community walks its triangles on the (default)
@@ -357,6 +361,8 @@ TEST_F(EngineTest, SubstrateCountersReachEngineStats) {
     // Ego-net rejections are refined candidates that found no community.
     EXPECT_LE(stats.ego_rejected,
               stats.candidates_refined - stats.communities_found);
+    // Skipped propagations are found communities.
+    EXPECT_LE(stats.propagations_avoided, stats.communities_found);
   };
   // Sequential refinement, then chunked refinement over the engine's pool.
   ProgressiveOptions chunked;
@@ -376,6 +382,7 @@ TEST_F(EngineTest, SubstrateCountersReachEngineStats) {
   const QueryStats aggregate = (*engine)->Stats().query_stats;
   EXPECT_EQ(aggregate.triangles_inspected, triangles);
   EXPECT_EQ(aggregate.ego_rejected, ego_rejected);
+  EXPECT_EQ(aggregate.propagations_avoided, propagations_avoided);
   EXPECT_LE(aggregate.ego_rejected,
             aggregate.candidates_refined - aggregate.communities_found);
 }
@@ -512,7 +519,9 @@ TEST_F(EngineTest, ProgressiveMatchesPlainSearch) {
     ASSERT_TRUE(progressive.ok()) << progressive.status().ToString();
     EXPECT_FALSE(progressive->truncated);
     ExpectSameCommunities(progressive->communities, plain->communities);
-    if (!plain->communities.empty()) EXPECT_GE(updates, 1);
+    if (!plain->communities.empty()) {
+      EXPECT_GE(updates, 1);
+    }
   }
 }
 
