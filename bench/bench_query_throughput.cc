@@ -2,15 +2,13 @@
 // keyword workload is pushed through
 //   (a) a single TopLDetector in a plain sequential loop — the pre-Engine
 //       baseline every caller used to hand-roll, and
-//   (b) one shared topl::Engine via SearchBatch at increasing worker counts,
-//   (c) the engine's async Submit path (futures drained per round).
+//   (b) one shared topl::Engine via SearchBatch at increasing worker counts.
 // Aggregate queries/second is reported for each, so the engine's batching
 // overhead (context leasing, stats accounting, pool fan-out) is directly
 // comparable against the raw detector loop on identical queries.
 
 #include <benchmark/benchmark.h>
 
-#include <future>
 #include <memory>
 #include <vector>
 
@@ -111,34 +109,11 @@ void BM_EngineSearchBatch(benchmark::State& state, DatasetConfig config) {
       static_cast<double>(answered), benchmark::Counter::kIsRate);
 }
 
-void BM_EngineSubmitAsync(benchmark::State& state, DatasetConfig config) {
-  const std::size_t num_threads = static_cast<std::size_t>(state.range(0));
-  Engine& engine = GetEngine(config, num_threads);
-  const std::vector<Query> round = MakeRound(GetWorkload(config));
-
-  std::uint64_t answered = 0;
-  for (auto _ : state) {
-    std::vector<std::future<Result<TopLResult>>> futures;
-    futures.reserve(round.size());
-    for (const Query& query : round) {
-      futures.push_back(engine.Submit(query));
-    }
-    for (auto& future : futures) {
-      Result<TopLResult> result = future.get();
-      TOPL_CHECK(result.ok(), result.status().ToString().c_str());
-      benchmark::DoNotOptimize(result->communities.data());
-    }
-    answered += round.size();
-  }
-  state.counters["queries_per_s"] = benchmark::Counter(
-      static_cast<double>(answered), benchmark::Counter::kIsRate);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::printf("== TopL-ICDE serving throughput: single detector loop vs "
-              "Engine::SearchBatch / Engine::Submit ==\n");
+              "Engine::SearchBatch ==\n");
   DatasetConfig config;
   config.kind = DatasetKind::kUni;
   config.num_vertices = DefaultVertices();
@@ -156,14 +131,6 @@ int main(int argc, char** argv) {
       ->Arg(2)
       ->Arg(4)
       ->Arg(8)
-      ->Unit(benchmark::kMillisecond)
-      ->MinTime(0.2)
-      ->UseRealTime();
-  benchmark::RegisterBenchmark(
-      "throughput/engine_submit/threads",
-      [config](benchmark::State& s) { BM_EngineSubmitAsync(s, config); })
-      ->Arg(2)
-      ->Arg(4)
       ->Unit(benchmark::kMillisecond)
       ->MinTime(0.2)
       ->UseRealTime();

@@ -32,7 +32,6 @@ std::uint8_t PackOptions(const QueryOptions& options) {
   if (options.use_support_pruning) bits |= 1u << 1;
   if (options.use_score_pruning) bits |= 1u << 2;
   if (options.use_center_truss_bound) bits |= 1u << 3;
-  if (options.use_reference_extraction) bits |= 1u << 4;
   return bits;
 }
 
@@ -63,36 +62,39 @@ std::size_t ResultBytes(const DTopLResult& r) {
   return bytes;
 }
 
-/// True iff every EdgeId stored in `communities` still denotes the same
-/// endpoints in `now` as it did in `old_g` — i.e. the update's edge
-/// renumbering did not move this answer's edges.
-bool EdgeIdsStable(const std::vector<CommunityResult>& communities,
-                   const Graph& old_g, const Graph& now) {
-  for (const CommunityResult& c : communities) {
-    for (EdgeId e : c.community.edges) {
-      if (e >= now.NumEdges() || now.EdgeSource(e) != old_g.EdgeSource(e) ||
-          now.EdgeTarget(e) != old_g.EdgeTarget(e)) {
-        return false;
-      }
-    }
+/// Rebases a surviving answer onto the new snapshot's edge numbering. Edge
+/// deltas compact-renumber EdgeIds graph-wide, so a provably clean answer's
+/// edge *sets* are unchanged but their ids may now point at different
+/// edges. Each stored id is resolved to its old endpoints and looked up in
+/// `now`; surviving base edges keep their relative order under ApplyDelta's
+/// renumbering, so remapping never reorders an edge list. The remapped
+/// result is published as a fresh immutable object, so hits handed out
+/// before the swap stay consistent with the snapshot they were served
+/// against. Returns false if an edge no longer exists (cannot happen for a
+/// provably clean entry; the caller invalidates defensively).
+template <typename R>
+bool RebaseEdgeIds(const Graph& old_g, const Graph& now,
+                   std::shared_ptr<const R>* answer) {
+  if (*answer == nullptr) return true;
+  auto stable = [&](EdgeId e) {
+    return e < now.NumEdges() && now.EdgeSource(e) == old_g.EdgeSource(e) &&
+           now.EdgeTarget(e) == old_g.EdgeTarget(e);
+  };
+  bool moved = false;
+  for (const CommunityResult& c : (*answer)->communities) {
+    moved = moved || !std::all_of(c.community.edges.begin(),
+                                  c.community.edges.end(), stable);
   }
-  return true;
-}
-
-/// Rewrites every stored EdgeId to its id in `now`, resolving through the
-/// old endpoints. Returns false if an edge no longer exists (cannot happen
-/// for a provably clean entry; callers invalidate defensively). Surviving
-/// base edges keep their relative order under ApplyDelta's compact
-/// renumbering, so remapping never reorders an edge list.
-bool RemapEdgeIds(const Graph& old_g, const Graph& now,
-                  std::vector<CommunityResult>* communities) {
-  for (CommunityResult& c : *communities) {
+  if (!moved) return true;
+  auto remapped = std::make_shared<R>(**answer);
+  for (CommunityResult& c : remapped->communities) {
     for (EdgeId& e : c.community.edges) {
       const EdgeId mapped = now.FindEdge(old_g.EdgeSource(e), old_g.EdgeTarget(e));
       if (mapped == kInvalidEdge) return false;
       e = mapped;
     }
   }
+  *answer = std::move(remapped);
   return true;
 }
 
@@ -113,7 +115,7 @@ bool SortedIntersect(std::span<const VertexId> a, std::span<const VertexId> b) {
 
 }  // namespace
 
-CacheKey CacheKey::ForTopL(const Query& query, const QueryOptions& options) {
+CacheKey CacheKey::For(const Query& query, const QueryOptions& options) {
   CacheKey key;
   key.kind = Kind::kTopL;
   key.keywords = Canonicalize(query.keywords);
@@ -125,7 +127,7 @@ CacheKey CacheKey::ForTopL(const Query& query, const QueryOptions& options) {
   return key;
 }
 
-CacheKey CacheKey::ForDTopL(const Query& query, const DTopLOptions& options) {
+CacheKey CacheKey::For(const Query& query, const DTopLOptions& options) {
   CacheKey key;
   key.kind = Kind::kDTopL;
   key.keywords = Canonicalize(query.keywords);
@@ -251,31 +253,48 @@ void QueryCache::InsertLocked(Shard& shard, Entry entry) {
   }
 }
 
-void QueryCache::FillTopL(const CacheKey& key,
-                          const std::shared_ptr<Flight>& flight,
-                          std::uint64_t executed_epoch,
-                          std::shared_ptr<const TopLResult> result) {
+template <typename R>
+void QueryCache::SetDependence(const R& result, Entry* entry) {
+  if constexpr (std::is_same_v<R, TopLResult>) {
+    entry->touched.reserve(result.communities.size());
+    for (const CommunityResult& c : result.communities) {
+      entry->touched.push_back(c.community.center);
+    }
+    entry->floor_valid = result.communities.size() >= entry->key.top_l;
+    entry->floor_score =
+        entry->floor_valid ? result.communities.back().score() : 0.0;
+  } else {
+    // The diversified answer is a deterministic function of the candidate
+    // pool, so the dependence set is the *pool's* centers and the newcomer
+    // floor is the pool's weakest σ — not the selected L communities'.
+    entry->touched = result.pool_centers;
+    entry->floor_valid = result.pool_full;
+    entry->floor_score = result.pool_floor;
+  }
+  std::sort(entry->touched.begin(), entry->touched.end());
+}
+
+template <typename R>
+void QueryCache::Fill(const CacheKey& key, const std::shared_ptr<Flight>& flight,
+                      std::uint64_t executed_epoch,
+                      std::shared_ptr<const R> result) {
   Entry entry;
   entry.key = key;
-  entry.answer.topl = result;
-  entry.touched.reserve(result->communities.size());
-  for (const CommunityResult& c : result->communities) {
-    entry.touched.push_back(c.community.center);
-  }
-  std::sort(entry.touched.begin(), entry.touched.end());
-  entry.floor_valid = result->communities.size() >= key.top_l;
-  entry.floor_score =
-      entry.floor_valid ? result->communities.back().score() : 0.0;
+  SetDependence(*result, &entry);
   entry.bytes = sizeof(Entry) + ResultBytes(*result) +
                 key.keywords.size() * sizeof(KeywordId) +
                 entry.touched.size() * sizeof(VertexId);
+  const bool exact = !result->truncated;
+  if constexpr (std::is_same_v<R, TopLResult>) {
+    entry.answer.topl = std::move(result);
+  } else {
+    entry.answer.dtopl = std::move(result);
+  }
 
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  CachedAnswer answer;
-  answer.topl = std::move(result);
-  const bool exact = !answer.topl->truncated;
-  CompleteFlightLocked(shard, key, flight, /*ok=*/true, answer, Status::OK());
+  CompleteFlightLocked(shard, key, flight, /*ok=*/true, entry.answer,
+                       Status::OK());
   if (exact &&
       executed_epoch == current_epoch_.load(std::memory_order_acquire) &&
       shard.table.find(key) == shard.table.end()) {
@@ -283,36 +302,12 @@ void QueryCache::FillTopL(const CacheKey& key,
   }
 }
 
-void QueryCache::FillDTopL(const CacheKey& key,
-                           const std::shared_ptr<Flight>& flight,
-                           std::uint64_t executed_epoch,
-                           std::shared_ptr<const DTopLResult> result) {
-  Entry entry;
-  entry.key = key;
-  entry.answer.dtopl = result;
-  // The diversified answer is a deterministic function of the candidate
-  // pool, so the dependence set is the *pool's* centers and the newcomer
-  // floor is the pool's weakest σ — not the selected L communities'.
-  entry.touched = result->pool_centers;
-  std::sort(entry.touched.begin(), entry.touched.end());
-  entry.floor_valid = result->pool_full;
-  entry.floor_score = result->pool_floor;
-  entry.bytes = sizeof(Entry) + ResultBytes(*result) +
-                key.keywords.size() * sizeof(KeywordId) +
-                entry.touched.size() * sizeof(VertexId);
-
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  CachedAnswer answer;
-  answer.dtopl = std::move(result);
-  const bool exact = !answer.dtopl->truncated;
-  CompleteFlightLocked(shard, key, flight, /*ok=*/true, answer, Status::OK());
-  if (exact &&
-      executed_epoch == current_epoch_.load(std::memory_order_acquire) &&
-      shard.table.find(key) == shard.table.end()) {
-    InsertLocked(shard, std::move(entry));
-  }
-}
+template void QueryCache::Fill(const CacheKey&, const std::shared_ptr<Flight>&,
+                               std::uint64_t,
+                               std::shared_ptr<const TopLResult>);
+template void QueryCache::Fill(const CacheKey&, const std::shared_ptr<Flight>&,
+                               std::uint64_t,
+                               std::shared_ptr<const DTopLResult>);
 
 void QueryCache::Abandon(const CacheKey& key,
                          const std::shared_ptr<Flight>& flight, Status status) {
@@ -335,7 +330,7 @@ void QueryCache::OnUpdate(std::span<const VertexId> dirty_centers,
                           const PrecomputedData& pre,
                           std::uint64_t new_epoch) {
   // Publish the epoch first: fills of results computed on the superseded
-  // snapshot race this scan, and the epoch check in Fill* rejects exactly
+  // snapshot race this scan, and the epoch check in Fill rejects exactly
   // the ones that would otherwise slip in behind it.
   current_epoch_.store(new_epoch, std::memory_order_release);
 
@@ -375,32 +370,10 @@ void QueryCache::OnUpdate(std::span<const VertexId> dirty_centers,
       } else {
         exact = false;
       }
-      if (exact) {
-        // Surviving entries are provably unchanged *as edge sets*, but edge
-        // deltas compact-renumber EdgeIds graph-wide, so the stored ids may
-        // now point at different edges. Rebase them onto the new numbering
-        // (via the old endpoints); publish the remapped result as a fresh
-        // immutable object so hits handed out before the swap stay
-        // consistent with the snapshot they were served against.
-        if (it->answer.topl != nullptr &&
-            !EdgeIdsStable(it->answer.topl->communities, old_graph, graph)) {
-          auto remapped = std::make_shared<TopLResult>(*it->answer.topl);
-          if (RemapEdgeIds(old_graph, graph, &remapped->communities)) {
-            it->answer.topl = std::move(remapped);
-          } else {
-            exact = false;  // defensive: a clean entry never loses an edge
-          }
-        } else if (it->answer.dtopl != nullptr &&
-                   !EdgeIdsStable(it->answer.dtopl->communities, old_graph,
-                                  graph)) {
-          auto remapped = std::make_shared<DTopLResult>(*it->answer.dtopl);
-          if (RemapEdgeIds(old_graph, graph, &remapped->communities)) {
-            it->answer.dtopl = std::move(remapped);
-          } else {
-            exact = false;
-          }
-        }
-      }
+      // A clean entry keeps its edge sets but not necessarily its edge ids.
+      exact = exact &&
+              RebaseEdgeIds(old_graph, graph, &it->answer.topl) &&
+              RebaseEdgeIds(old_graph, graph, &it->answer.dtopl);
       if (!exact) {
         EraseLocked(shard, it);
         invalidated_.fetch_add(1, std::memory_order_relaxed);

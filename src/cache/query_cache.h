@@ -10,6 +10,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -54,8 +55,9 @@ struct CacheKey {
   std::uint8_t algorithm = 0;
   std::uint64_t max_optimal_subsets = 0;
 
-  static CacheKey ForTopL(const Query& query, const QueryOptions& options);
-  static CacheKey ForDTopL(const Query& query, const DTopLOptions& options);
+  /// The key of a TopL (QueryOptions) or DTopL (DTopLOptions) query.
+  static CacheKey For(const Query& query, const QueryOptions& options);
+  static CacheKey For(const Query& query, const DTopLOptions& options);
 
   double theta() const;
 
@@ -130,6 +132,16 @@ class QueryCache {
   struct CachedAnswer {
     std::shared_ptr<const TopLResult> topl;
     std::shared_ptr<const DTopLResult> dtopl;
+
+    /// The pointer for result type R (TopLResult or DTopLResult).
+    template <typename R>
+    const std::shared_ptr<const R>& Get() const {
+      if constexpr (std::is_same_v<R, TopLResult>) {
+        return topl;
+      } else {
+        return dtopl;
+      }
+    }
   };
 
   /// One in-flight execution other callers of the same key can wait on.
@@ -147,7 +159,7 @@ class QueryCache {
   /// Exactly one of the three outcomes:
   ///  - hit: `answer` is set;
   ///  - leader: `flight` set, `leader` true — the caller must execute the
-  ///    query and then call Fill* (success) or Abandon (failure);
+  ///    query and then call Fill (success) or Abandon (failure);
   ///  - follower: `flight` set, `leader` false — the caller must Await it.
   struct LookupResult {
     bool hit = false;
@@ -160,16 +172,14 @@ class QueryCache {
 
   LookupResult Lookup(const CacheKey& key);
 
-  /// Publishes a successful execution to the flight's followers and, when
-  /// `executed_epoch` still matches the cache epoch and the result is exact
-  /// (not truncated), inserts it. The touched-center set and newcomer floor
-  /// are derived from the result itself (see class comment).
-  void FillTopL(const CacheKey& key, const std::shared_ptr<Flight>& flight,
-                std::uint64_t executed_epoch,
-                std::shared_ptr<const TopLResult> result);
-  void FillDTopL(const CacheKey& key, const std::shared_ptr<Flight>& flight,
-                 std::uint64_t executed_epoch,
-                 std::shared_ptr<const DTopLResult> result);
+  /// Publishes a successful execution (R is TopLResult or DTopLResult) to
+  /// the flight's followers and, when `executed_epoch` still matches the
+  /// cache epoch and the result is exact (not truncated), inserts it. The
+  /// touched-center set and newcomer floor are derived from the result
+  /// itself (see class comment).
+  template <typename R>
+  void Fill(const CacheKey& key, const std::shared_ptr<Flight>& flight,
+            std::uint64_t executed_epoch, std::shared_ptr<const R> result);
 
   /// Publishes a failed execution: followers receive `status`, nothing is
   /// inserted.
@@ -219,6 +229,11 @@ class QueryCache {
     bool floor_valid = false;
     std::size_t bytes = 0;
   };
+
+  /// Sets `entry`'s dependence set and newcomer floor from the TopL or
+  /// DTopL result it caches.
+  template <typename R>
+  static void SetDependence(const R& result, Entry* entry);
 
   struct Shard {
     mutable std::mutex mu;

@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <utility>
 
@@ -25,11 +26,6 @@ void ThreadPool::Shutdown() {
   }
   queue_cv_.notify_all();
   for (auto& worker : workers) worker.join();
-}
-
-bool ThreadPool::is_shutdown() const {
-  std::lock_guard<std::mutex> lock(queue_mu_);
-  return stopping_;
 }
 
 void ThreadPool::ParallelFor(std::size_t begin, std::size_t end,
@@ -67,13 +63,13 @@ void ThreadPool::ParallelForWithWorker(
   for (auto& t : threads) t.join();
 }
 
-bool ThreadPool::Enqueue(std::function<void()> task) {
+void ThreadPool::Enqueue(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     // A task queued after shutdown began would never be claimed (workers are
     // gone or draining) and respawning workers here would race the joins —
-    // reject it instead; Submit turns the rejection into a typed error.
-    if (stopping_) return false;
+    // drop it instead.
+    if (stopping_) return;
     if (queue_workers_.empty()) {
       queue_workers_.reserve(num_threads_);
       for (std::size_t t = 0; t < num_threads_; ++t) {
@@ -81,10 +77,8 @@ bool ThreadPool::Enqueue(std::function<void()> task) {
       }
     }
     queue_.push_back(std::move(task));
-    in_flight_.fetch_add(1, std::memory_order_relaxed);
   }
   queue_cv_.notify_one();
-  return true;
 }
 
 void ThreadPool::QueueWorkerLoop() {
@@ -98,12 +92,7 @@ void ThreadPool::QueueWorkerLoop() {
       queue_.pop_front();
     }
     task();
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
   }
-}
-
-std::size_t ThreadPool::PendingTasks() const {
-  return in_flight_.load(std::memory_order_relaxed);
 }
 
 // Shared between the group handle and the claim tokens it enqueues. The

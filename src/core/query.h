@@ -58,11 +58,6 @@ struct QueryOptions {
   /// bound (DESIGN.md §3). Off = the paper's max-ball-support rule only;
   /// the ablation benchmark compares the two.
   bool use_center_truss_bound = true;
-  /// Verify candidates on the pre-substrate reference path (from-scratch
-  /// support recompute per fixpoint round) instead of the incremental
-  /// triangle substrate. Answers are byte-identical either way; this switch
-  /// exists for the equivalence sweep and the bench_seed_extraction A/B.
-  bool use_reference_extraction = false;
 };
 
 /// \brief Counters filled during query processing.

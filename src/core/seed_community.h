@@ -82,8 +82,8 @@ class SeedCommunityExtractor {
     return Extract(center, query, Mode::kIncremental, out);
   }
 
-  /// Extract with an explicit pipeline choice (benchmarks, equivalence
-  /// sweeps, and QueryOptions::use_reference_extraction).
+  /// Extract with an explicit pipeline choice (the bench_seed_extraction
+  /// A/B, BruteForceTopL, and the mode-equality sweeps).
   bool Extract(VertexId center, const Query& query, Mode mode,
                SeedCommunity* out);
 

@@ -226,8 +226,7 @@ struct ChunkOutput {
 // community the member-ball test places below the floor is also below the
 // σ_L it would be offered against.
 void RefineChunk(std::span<const VertexId> candidates, const Query& query,
-                 SeedCommunityExtractor::Mode mode, const Graph& g,
-                 const PrecomputedData& pre, int z, double floor,
+                 const Graph& g, const PrecomputedData& pre, int z, double floor,
                  SeedCommunityExtractor& extractor, MemberBallBound& ball_bound,
                  PropagationEngine& engine, const CancelToken& cancel,
                  const DeadlineClock& deadline, ChunkOutput* out) {
@@ -238,7 +237,7 @@ void RefineChunk(std::span<const VertexId> candidates, const Query& query,
   for (VertexId v : candidates) {
     ++out->refined;
     CommunityResult candidate;
-    const bool found = extractor.Extract(v, query, mode, &candidate.community);
+    const bool found = extractor.Extract(v, query, &candidate.community);
     out->ego_rejected += extractor.last_ego_rejected();
     out->triangles_inspected += extractor.last_triangles_inspected();
     out->support_recomputes_avoided += extractor.last_support_recomputes_avoided();
@@ -364,9 +363,6 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
 
   TopLCollector collector(query.top_l);
   PlanCursor plan(*graph_, *pre_, *tree_, query, options, z, query_bv);
-  const SeedCommunityExtractor::Mode extraction_mode =
-      options.use_reference_extraction ? SeedCommunityExtractor::Mode::kReference
-                                       : SeedCommunityExtractor::Mode::kIncremental;
   const DeadlineClock deadline(control.deadline_seconds);
   const bool checkpoints = control.NeedsCheckpoints();
 
@@ -440,8 +436,7 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
         ++stats.candidates_refined;
         CommunityResult candidate;
         SeedCommunityExtractor& extractor = scratch_.extractor;
-        const bool found =
-            extractor.Extract(v, query, extraction_mode, &candidate.community);
+        const bool found = extractor.Extract(v, query, &candidate.community);
         stats.ego_rejected += extractor.last_ego_rejected();
         stats.triangles_inspected += extractor.last_triangles_inspected();
         stats.support_recomputes_avoided +=
@@ -482,10 +477,9 @@ Result<TopLResult> TopLDetector::Search(const Query& query,
           if (c >= num_chunks) break;
           const std::size_t begin = c * chunk_size;
           const std::size_t end = std::min(wave_span.size(), begin + chunk_size);
-          RefineChunk(wave_span.subspan(begin, end - begin), query,
-                      extraction_mode, *graph_, *pre_, z, floor,
-                      scratch->extractor, scratch->ball_bound, *engine,
-                      control.cancel, deadline, &outputs[c]);
+          RefineChunk(wave_span.subspan(begin, end - begin), query, *graph_,
+                      *pre_, z, floor, scratch->extractor, scratch->ball_bound,
+                      *engine, control.cancel, deadline, &outputs[c]);
         }
       };
       const std::size_t num_workers =

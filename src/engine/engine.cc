@@ -4,6 +4,7 @@
 #include <chrono>
 #include <filesystem>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/timer.h"
@@ -28,6 +29,16 @@ std::shared_ptr<const EngineSnapshot> MakeSnapshot(
   snapshot->epoch = epoch;
   return snapshot;
 }
+
+Status ShutdownStatus() { return Status::Unavailable("engine is shut down"); }
+
+const QueryStats& WorkStats(const TopLResult& result) { return result.stats; }
+const QueryStats& WorkStats(const DTopLResult& result) {
+  return result.candidate_stats;
+}
+
+/// The control of a plain (non-progressive) query.
+const SearchControl kPlainControl{};
 
 }  // namespace
 
@@ -244,33 +255,19 @@ Result<std::unique_ptr<Engine>> Engine::OpenFiles(const EngineOptions& options) 
     return Status::NotFound("index file not found: " + options.index_path +
                             " (set build_index_if_missing to build in-process)");
   }
-  std::vector<VertexId> external_ids;
-  if (options.reorder_vertices) {
-    Result<ReorderedGraph> reordered = ReorderForLocality(*graph);
-    if (!reordered.ok()) return reordered.status();
-    *graph = std::move(reordered->graph);
-    external_ids = std::move(reordered->external_ids);
-  }
-  Result<PrecomputedData> pre = PrecomputedData::Build(*graph, options.precompute);
-  if (!pre.ok()) return pre.status();
-  auto owned = std::make_unique<PrecomputedData>(std::move(pre).value());
-  Result<TreeIndex> tree = TreeIndex::Build(*graph, *owned, options.tree);
-  if (!tree.ok()) return tree.status();
+  Result<std::unique_ptr<Engine>> engine =
+      FromGraph(std::move(graph).value(), options);
+  if (!engine.ok()) return engine;
   if (options.save_built_index && !options.index_path.empty()) {
+    const EngineSnapshot& built = *(*engine)->snapshot_;
     ArtifactWriteOptions write_options;
     write_options.compress = options.compress_artifact;
-    write_options.external_ids = external_ids;
-    TOPL_RETURN_IF_ERROR(ArtifactWriter::Write(*graph, *owned, *tree,
-                                               options.index_path,
+    write_options.external_ids = (*engine)->external_ids_;
+    TOPL_RETURN_IF_ERROR(ArtifactWriter::Write(*built.graph, *built.pre,
+                                               *built.tree, options.index_path,
                                                write_options));
   }
-  Result<std::unique_ptr<Engine>> engine = Create(
-      std::move(graph).value(), std::move(owned), std::move(tree).value(),
-      options);
-  if (engine.ok()) {
-    (*engine)->external_ids_ = std::move(external_ids);
-    (*engine)->artifact_compressed_ = options.compress_artifact;
-  }
+  (*engine)->artifact_compressed_ = options.compress_artifact;
   return engine;
 }
 
@@ -336,40 +333,11 @@ std::size_t Engine::pooled_contexts() const {
   return contexts_.size();
 }
 
-Result<TopLResult> Engine::SearchOnContext(WorkerContext* context,
-                                           QueryKind kind, const Query& query,
-                                           const QueryOptions& options,
-                                           const SearchControl& control) {
-  Timer timer;
-  Result<TopLResult> result = context->topl.Search(query, options, control);
-  context->stats.Record(kind, /*diversified=*/false, result.ok(),
-                        result.ok() && result->truncated,
-                        timer.ElapsedSeconds(),
-                        result.ok() ? result->stats : QueryStats{});
-  return result;
-}
-
-Result<DTopLResult> Engine::SearchDiversifiedOnContext(
-    WorkerContext* context, QueryKind kind, const Query& query,
-    const DTopLOptions& options, const SearchControl& control) {
-  if (!context->dtopl.has_value()) {
-    const EngineSnapshot& snapshot = *context->snapshot;
-    context->dtopl.emplace(*snapshot.graph, *snapshot.pre, *snapshot.tree);
-  }
-  Timer timer;
-  Result<DTopLResult> result = context->dtopl->Search(query, options, control);
-  context->stats.Record(kind, /*diversified=*/true, result.ok(),
-                        result.ok() && result->truncated,
-                        timer.ElapsedSeconds(),
-                        result.ok() ? result->candidate_stats : QueryStats{});
-  return result;
-}
-
 SearchControl Engine::MakeControl(const ProgressiveOptions& options,
                                   ProgressiveCallback on_update) {
   SearchControl control;
-  // Intra-query parallelism rides the same pool as batch fan-out and async
-  // serving; TaskGroup's help-first join keeps the combination deadlock-free.
+  // Intra-query parallelism rides the same pool as batch fan-out;
+  // TaskGroup's help-first join keeps the combination deadlock-free.
   if (options.parallel && pool_.num_threads() > 1) control.pool = &pool_;
   control.chunk_size = options.chunk_size;
   control.deadline_seconds = options.deadline_seconds;
@@ -378,90 +346,6 @@ SearchControl Engine::MakeControl(const ProgressiveOptions& options,
   return control;
 }
 
-Result<TopLResult> Engine::CachedSearch(QueryKind kind, const Query& query,
-                                        const QueryOptions& options,
-                                        WorkerContext* context) {
-  auto execute = [&](WorkerContext* ctx) {
-    return SearchOnContext(ctx, kind, query, options);
-  };
-  auto run = [&](auto&& body) -> Result<TopLResult> {
-    if (context != nullptr) return body(context);
-    ContextLease lease(this);
-    return body(lease.get());
-  };
-  // Invalid queries take the execution path so they fail with exactly the
-  // detector's status (a canonicalized key would otherwise let a permuted
-  // keyword list hit where a cache-disabled engine rejects it).
-  if (cache_ == nullptr || !query.Validate().ok() ||
-      !QueryCache::Cacheable(query, *snapshot()->pre)) {
-    return run(execute);
-  }
-  const CacheKey key = CacheKey::ForTopL(query, options);
-  const QueryCache::LookupResult lookup = cache_->Lookup(key);
-  if (lookup.hit) return *lookup.answer.topl;
-  if (!lookup.leader) {
-    Result<QueryCache::CachedAnswer> shared = cache_->Await(lookup.flight);
-    if (!shared.ok()) return shared.status();
-    return *shared->topl;
-  }
-  std::uint64_t executed_epoch = 0;
-  Result<TopLResult> result = run([&](WorkerContext* ctx) {
-    executed_epoch = ctx->snapshot->epoch;
-    return execute(ctx);
-  });
-  if (result.ok()) {
-    cache_->FillTopL(key, lookup.flight, executed_epoch,
-                     std::make_shared<const TopLResult>(*result));
-  } else {
-    cache_->Abandon(key, lookup.flight, result.status());
-  }
-  return result;
-}
-
-Result<DTopLResult> Engine::CachedSearchDiversified(QueryKind kind,
-                                                    const Query& query,
-                                                    const DTopLOptions& options,
-                                                    WorkerContext* context) {
-  auto execute = [&](WorkerContext* ctx) {
-    return SearchDiversifiedOnContext(ctx, kind, query, options);
-  };
-  auto run = [&](auto&& body) -> Result<DTopLResult> {
-    if (context != nullptr) return body(context);
-    ContextLease lease(this);
-    return body(lease.get());
-  };
-  if (cache_ == nullptr || !query.Validate().ok() ||
-      !QueryCache::Cacheable(query, *snapshot()->pre)) {
-    return run(execute);
-  }
-  const CacheKey key = CacheKey::ForDTopL(query, options);
-  const QueryCache::LookupResult lookup = cache_->Lookup(key);
-  if (lookup.hit) return *lookup.answer.dtopl;
-  if (!lookup.leader) {
-    Result<QueryCache::CachedAnswer> shared = cache_->Await(lookup.flight);
-    if (!shared.ok()) return shared.status();
-    return *shared->dtopl;
-  }
-  std::uint64_t executed_epoch = 0;
-  Result<DTopLResult> result = run([&](WorkerContext* ctx) {
-    executed_epoch = ctx->snapshot->epoch;
-    return execute(ctx);
-  });
-  if (result.ok()) {
-    cache_->FillDTopL(key, lookup.flight, executed_epoch,
-                      std::make_shared<const DTopLResult>(*result));
-  } else {
-    cache_->Abandon(key, lookup.flight, result.status());
-  }
-  return result;
-}
-
-namespace {
-
-Status ShutdownStatus() { return Status::Unavailable("engine is shut down"); }
-
-}  // namespace
-
 Status Engine::ShedStatus() const {
   return Status::Unavailable(
       "query shed: engine at max_in_flight_queries=" +
@@ -469,96 +353,101 @@ Status Engine::ShedStatus() const {
       " (retry with backoff)");
 }
 
-Result<TopLResult> Engine::Search(const Query& query, const QueryOptions& options) {
-  AdmissionGuard admit(this);
-  if (admit.result() == Admission::kShutdown) return ShutdownStatus();
-  if (admit.result() == Admission::kShed) {
-    shed_queries_.fetch_add(1, std::memory_order_relaxed);
-    return ShedStatus();
+template <typename R, typename Options>
+Result<R> Engine::Serve(QueryKind kind, const Query& query,
+                        const Options& options, const SearchControl* control,
+                        WorkerContext* context) {
+  std::optional<AdmissionGuard> admission;
+  std::optional<SearchControl> degraded;
+  if (context == nullptr) {
+    admission.emplace(this);
+    if (admission->result() == Admission::kShutdown) return ShutdownStatus();
+    if (admission->result() == Admission::kShed) {
+      if (control == nullptr || control->deadline_seconds <= 0.0) {
+        shed_queries_.fetch_add(1, std::memory_order_relaxed);
+        return ShedStatus();
+      }
+      // The caller brought a deadline, so it already accepts anytime
+      // answers: run with an immediately-expiring deadline and no pool
+      // fan-out. The detector stops at the first wave boundary, returning a
+      // valid truncated answer plus the score upper bound — wave-boundary
+      // cost instead of full-query cost, without taking an admission slot.
+      degraded.emplace();
+      degraded->chunk_size = control->chunk_size;
+      degraded->deadline_seconds = 1e-9;
+      degraded->cancel = control->cancel;
+      control = &*degraded;
+    }
   }
-  return CachedSearch(QueryKind::kSearch, query, options, /*context=*/nullptr);
+
+  // Runs the detector on the batch worker's context or a leased one, and
+  // records the query; `epoch` is the snapshot epoch it ran on.
+  std::uint64_t epoch = 0;
+  auto execute = [&](const SearchControl& run_control) -> Result<R> {
+    std::optional<ContextLease> lease;
+    WorkerContext* ctx = context != nullptr ? context : lease.emplace(this).get();
+    epoch = ctx->snapshot->epoch;
+    Timer timer;
+    Result<R> result = ctx->Run(query, options, run_control);
+    ctx->stats.Record(kind, std::is_same_v<R, DTopLResult>, result.ok(),
+                      result.ok() && result->truncated, timer.ElapsedSeconds(),
+                      result.ok() ? WorkStats(*result) : QueryStats{});
+    return result;
+  };
+
+  // Invalid queries take the execution path so they fail with exactly the
+  // detector's status (a canonicalized key would otherwise let a permuted
+  // keyword list hit where a cache-disabled engine rejects it).
+  if (control != nullptr || cache_ == nullptr || !query.Validate().ok() ||
+      !QueryCache::Cacheable(query, *snapshot()->pre)) {
+    Result<R> result = execute(control != nullptr ? *control : kPlainControl);
+    if (degraded.has_value()) {
+      degraded_queries_.fetch_add(1, std::memory_order_relaxed);
+      if (result.ok()) result->degraded = true;
+    }
+    return result;
+  }
+  const CacheKey key = CacheKey::For(query, options);
+  const QueryCache::LookupResult lookup = cache_->Lookup(key);
+  if (lookup.hit) return *lookup.answer.Get<R>();
+  if (!lookup.leader) {
+    Result<QueryCache::CachedAnswer> shared = cache_->Await(lookup.flight);
+    if (!shared.ok()) return shared.status();
+    return *shared->Get<R>();
+  }
+  Result<R> result = execute(kPlainControl);
+  if (result.ok()) {
+    cache_->Fill(key, lookup.flight, epoch, std::make_shared<const R>(*result));
+  } else {
+    cache_->Abandon(key, lookup.flight, result.status());
+  }
+  return result;
+}
+
+Result<TopLResult> Engine::Search(const Query& query, const QueryOptions& options) {
+  return Serve<TopLResult>(QueryKind::kSearch, query, options, nullptr, nullptr);
 }
 
 Result<DTopLResult> Engine::SearchDiversified(const Query& query,
                                               const DTopLOptions& options) {
-  AdmissionGuard admit(this);
-  if (admit.result() == Admission::kShutdown) return ShutdownStatus();
-  if (admit.result() == Admission::kShed) {
-    shed_queries_.fetch_add(1, std::memory_order_relaxed);
-    return ShedStatus();
-  }
-  return CachedSearchDiversified(QueryKind::kDiversified, query, options,
-                                 /*context=*/nullptr);
-}
-
-Result<TopLResult> Engine::DegradedSearch(const Query& query,
-                                          const ProgressiveOptions& options) {
-  // The caller brought a deadline, so it already accepts anytime answers:
-  // run the progressive search with an immediately-expiring deadline and no
-  // pool fan-out. The detector stops at the first wave boundary, returning a
-  // valid truncated prefix plus the score upper bound — wave-boundary cost
-  // instead of full-query cost, without taking an admission slot.
-  ProgressiveOptions degraded = options;
-  degraded.deadline_seconds = 1e-9;
-  degraded.parallel = false;
-  ContextLease lease(this);
-  Result<TopLResult> result =
-      SearchOnContext(lease.get(), QueryKind::kProgressive, query,
-                      degraded.query, MakeControl(degraded, nullptr));
-  degraded_queries_.fetch_add(1, std::memory_order_relaxed);
-  if (result.ok()) result->degraded = true;
-  return result;
-}
-
-Result<DTopLResult> Engine::DegradedSearchDiversified(
-    const Query& query, const DTopLOptions& dtopl_options,
-    const ProgressiveOptions& options) {
-  ProgressiveOptions degraded = options;
-  degraded.deadline_seconds = 1e-9;
-  degraded.parallel = false;
-  ContextLease lease(this);
-  Result<DTopLResult> result = SearchDiversifiedOnContext(
-      lease.get(), QueryKind::kProgressive, query, dtopl_options,
-      MakeControl(degraded, nullptr));
-  degraded_queries_.fetch_add(1, std::memory_order_relaxed);
-  if (result.ok()) result->degraded = true;
-  return result;
+  return Serve<DTopLResult>(QueryKind::kDiversified, query, options, nullptr,
+                            nullptr);
 }
 
 Result<TopLResult> Engine::SearchProgressive(const Query& query,
                                              const ProgressiveOptions& options,
                                              ProgressiveCallback on_update) {
-  AdmissionGuard admit(this);
-  if (admit.result() == Admission::kShutdown) return ShutdownStatus();
-  if (admit.result() == Admission::kShed) {
-    if (options.deadline_seconds > 0.0) return DegradedSearch(query, options);
-    shed_queries_.fetch_add(1, std::memory_order_relaxed);
-    return ShedStatus();
-  }
-  ContextLease lease(this);
-  return SearchOnContext(lease.get(), QueryKind::kProgressive, query,
-                         options.query, MakeControl(options, std::move(on_update)));
+  const SearchControl control = MakeControl(options, std::move(on_update));
+  return Serve<TopLResult>(QueryKind::kProgressive, query, QueryOptions(),
+                           &control, nullptr);
 }
 
 Result<DTopLResult> Engine::SearchDiversifiedProgressive(
     const Query& query, const DTopLOptions& dtopl_options,
     const ProgressiveOptions& options, ProgressiveCallback on_update) {
-  AdmissionGuard admit(this);
-  if (admit.result() == Admission::kShutdown) return ShutdownStatus();
-  if (admit.result() == Admission::kShed) {
-    if (options.deadline_seconds > 0.0) {
-      return DegradedSearchDiversified(query, dtopl_options, options);
-    }
-    shed_queries_.fetch_add(1, std::memory_order_relaxed);
-    return ShedStatus();
-  }
-  ContextLease lease(this);
-  // Pruning toggles come from dtopl_options.topl_options, exactly as in
-  // SearchDiversified — ProgressiveOptions::query applies to the TopL entry
-  // point only, so the two DTopL paths can never diverge algorithmically.
-  return SearchDiversifiedOnContext(lease.get(), QueryKind::kProgressive, query,
-                                    dtopl_options,
-                                    MakeControl(options, std::move(on_update)));
+  const SearchControl control = MakeControl(options, std::move(on_update));
+  return Serve<DTopLResult>(QueryKind::kProgressive, query, dtopl_options,
+                            &control, nullptr);
 }
 
 std::vector<Result<TopLResult>> Engine::SearchBatch(std::span<const Query> queries,
@@ -602,40 +491,14 @@ std::vector<Result<TopLResult>> Engine::SearchBatch(std::span<const Query> queri
       [&](std::size_t worker, std::size_t i) {
         WorkerContext*& context = leased[worker];
         if (context == nullptr) context = AcquireContext();
-        results[i] =
-            CachedSearch(QueryKind::kBatch, queries[i], options, context);
+        results[i] = Serve<TopLResult>(QueryKind::kBatch, queries[i], options,
+                                       nullptr, context);
       },
       /*grain=*/1);
   for (WorkerContext* context : leased) {
     if (context != nullptr) ReleaseContext(context);
   }
   return results;
-}
-
-std::future<Result<TopLResult>> Engine::Submit(Query query, QueryOptions options) {
-  // Post-shutdown submission resolves to the typed status instead of the
-  // pool's std::runtime_error (the task body would return it anyway; this
-  // skips the detour through an exception for the common case).
-  if (shutdown_.load(std::memory_order_acquire)) {
-    std::promise<Result<TopLResult>> promise;
-    promise.set_value(ShutdownStatus());
-    return promise.get_future();
-  }
-  return pool_.Submit([this, query = std::move(query), options]() {
-    return Search(query, options);
-  });
-}
-
-std::future<Result<DTopLResult>> Engine::SubmitDiversified(Query query,
-                                                           DTopLOptions options) {
-  if (shutdown_.load(std::memory_order_acquire)) {
-    std::promise<Result<DTopLResult>> promise;
-    promise.set_value(ShutdownStatus());
-    return promise.get_future();
-  }
-  return pool_.Submit([this, query = std::move(query), options]() {
-    return SearchDiversified(query, options);
-  });
 }
 
 Result<RebuildScope> Engine::ApplyUpdate(const GraphDelta& delta) {

@@ -2,7 +2,6 @@
 #define TOPL_ENGINE_ENGINE_H_
 
 #include <condition_variable>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -63,12 +62,14 @@ struct EngineSnapshot {
 ///
 ///  - Search / SearchDiversified: synchronous, callable from any thread.
 ///  - SearchBatch: fans a whole batch out across the engine's ThreadPool.
-///  - Submit / SubmitDiversified: async; the query runs on a pool worker and
-///    the caller gets a std::future.
 ///  - SearchProgressive / SearchDiversifiedProgressive: anytime queries —
 ///    intra-query parallel scoring over the same pool, streamed
 ///    intermediate answers with an upper-bound gap, per-query deadlines,
 ///    and cooperative cancellation (core/search_control.h).
+///
+/// All five run one serving path, for TopL and DTopL alike: admission,
+/// shed-or-degrade, the result cache (plain queries only), a context lease,
+/// the detector call, and the stats record.
 ///
 /// Every query's QueryStats and latency are folded into cumulative
 /// EngineStats through mutex-free per-context accumulators, with latency
@@ -101,8 +102,10 @@ class Engine {
                                                 TreeIndex tree,
                                                 const EngineOptions& options = {});
 
-  /// Runs the offline phase (Algorithm 2 + index build) on `graph` with
-  /// options.precompute / options.tree, then serves it.
+  /// Runs the offline phase on `graph` — the optional locality reorder
+  /// (options.reorder_vertices), Algorithm 2 (options.precompute), the tree
+  /// index (options.tree) — then serves it. Open's build branch runs the
+  /// same path.
   static Result<std::unique_ptr<Engine>> FromGraph(Graph graph,
                                                    const EngineOptions& options = {});
 
@@ -129,11 +132,11 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Stops serving: every entry point called after this returns (or resolves
-  /// its future to) Status::Unavailable("engine is shut down"), queued async
-  /// tasks still run to completion, and the pool workers are joined.
-  /// Idempotent; must not be called from inside a query callback or pool
-  /// task. The destructor implies Shutdown.
+  /// Stops serving: every entry point called after this returns
+  /// Status::Unavailable("engine is shut down"), and the pool workers are
+  /// joined once the subtasks already queued have run. Idempotent; must not
+  /// be called from inside a query callback or pool task. The destructor
+  /// implies Shutdown.
   void Shutdown();
 
   /// Answers one TopL-ICDE query. Thread-safe.
@@ -156,8 +159,8 @@ class Engine {
 
   /// Anytime DTopL: like SearchProgressive, but each update streams the
   /// *diversified* greedy selection over the candidate pool so far. Pruning
-  /// toggles are taken from dtopl_options.topl_options (as in
-  /// SearchDiversified); options.query is ignored here.
+  /// toggles are taken from dtopl_options.topl_options, as in
+  /// SearchDiversified.
   Result<DTopLResult> SearchDiversifiedProgressive(
       const Query& query, const DTopLOptions& dtopl_options,
       const ProgressiveOptions& options = {},
@@ -169,11 +172,6 @@ class Engine {
   /// never fails.
   std::vector<Result<TopLResult>> SearchBatch(std::span<const Query> queries,
                                               const QueryOptions& options = {});
-
-  /// Enqueues the query on the engine's async workers.
-  std::future<Result<TopLResult>> Submit(Query query, QueryOptions options = {});
-  std::future<Result<DTopLResult>> SubmitDiversified(Query query,
-                                                     DTopLOptions options = {});
 
   /// Applies a graph delta and installs the resulting serving state as a new
   /// snapshot. Maintenance is incremental (IndexUpdater: only the update's
@@ -248,6 +246,19 @@ class Engine {
         : snapshot(std::move(snap)),
           topl(*snapshot->graph, *snapshot->pre, *snapshot->tree) {}
 
+    /// The detector call, picked by the options type.
+    Result<TopLResult> Run(const Query& query, const QueryOptions& options,
+                           const SearchControl& control) {
+      return topl.Search(query, options, control);
+    }
+    Result<DTopLResult> Run(const Query& query, const DTopLOptions& options,
+                            const SearchControl& control) {
+      if (!dtopl.has_value()) {
+        dtopl.emplace(*snapshot->graph, *snapshot->pre, *snapshot->tree);
+      }
+      return dtopl->Search(query, options, control);
+    }
+
     std::shared_ptr<const EngineSnapshot> snapshot;
     TopLDetector topl;
     std::optional<DTopLDetector> dtopl;
@@ -275,28 +286,17 @@ class Engine {
   WorkerContext* AcquireContext();
   void ReleaseContext(WorkerContext* context);
 
-  /// Search/SearchDiversified bodies running on an already-leased context.
-  /// `kind` tags the latency sample (per-kind percentiles).
-  Result<TopLResult> SearchOnContext(WorkerContext* context, QueryKind kind,
-                                     const Query& query,
-                                     const QueryOptions& options,
-                                     const SearchControl& control = {});
-  Result<DTopLResult> SearchDiversifiedOnContext(
-      WorkerContext* context, QueryKind kind, const Query& query,
-      const DTopLOptions& options, const SearchControl& control = {});
-
-  /// Cache-aware Search/SearchDiversified bodies: validate → lookup →
-  /// single-flight → execute → fill (see cache/query_cache.h). `context` is
-  /// an already-leased context (batch workers execute on theirs) or nullptr
-  /// to lease one only if execution is actually needed. With the cache
-  /// disabled these degenerate to the plain execution path.
-  Result<TopLResult> CachedSearch(QueryKind kind, const Query& query,
-                                  const QueryOptions& options,
-                                  WorkerContext* context);
-  Result<DTopLResult> CachedSearchDiversified(QueryKind kind,
-                                              const Query& query,
-                                              const DTopLOptions& options,
-                                              WorkerContext* context);
+  /// The one serving path behind every query entry point, for TopL and
+  /// DTopL alike (`Options` is QueryOptions or DTopLOptions, matching R).
+  /// In order: admission (skipped for batch slots, which pass their
+  /// worker's `context` and run under the batch's slot); shed, or degrade
+  /// when `control` carries a deadline; for plain queries (`control` null)
+  /// the cache lookup, single-flight and fill (see cache/query_cache.h); a
+  /// context lease unless `context` is given; the detector call; and the
+  /// stats record tagged `kind`.
+  template <typename R, typename Options>
+  Result<R> Serve(QueryKind kind, const Query& query, const Options& options,
+                  const SearchControl* control, WorkerContext* context);
 
   /// Translates engine-level progressive options into a detector control.
   SearchControl MakeControl(const ProgressiveOptions& options,
@@ -333,16 +333,6 @@ class Engine {
     Engine* engine_;
     Admission result_;
   };
-
-  /// Overloaded-but-deadline-bearing queries take this path instead of being
-  /// shed: the search runs with an immediately-expiring deadline, so it
-  /// returns a valid truncated anytime answer (correct communities prefix +
-  /// score upper bound) at wave-boundary cost instead of full-query cost.
-  Result<TopLResult> DegradedSearch(const Query& query,
-                                    const ProgressiveOptions& options);
-  Result<DTopLResult> DegradedSearchDiversified(
-      const Query& query, const DTopLOptions& dtopl_options,
-      const ProgressiveOptions& options);
 
   /// Opens/creates the journal, replays its committed records through the
   /// normal update path (no re-append: journal_ is attached only afterwards)
@@ -404,14 +394,11 @@ class Engine {
   std::array<EngineStatsShard::Histogram, kNumQueryKinds> retired_buckets_{};
 
   /// Snapshot-epoch result cache; null unless
-  /// EngineOptions::enable_result_cache. Declared before pool_ so async
-  /// workers (which may lead or follow flights) are joined before the cache
-  /// is destroyed.
+  /// EngineOptions::enable_result_cache.
   std::unique_ptr<QueryCache> cache_;
 
-  // Declared last so its destructor — which drains and joins the async
-  // queue workers — runs before the contexts those workers may be using are
-  // destroyed.
+  // Declared last so its destructor — which drains and joins the queue
+  // workers — runs before anything a queued subtask may touch is destroyed.
   ThreadPool pool_;
 };
 

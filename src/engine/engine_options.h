@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <string>
 
-#include "core/query.h"
 #include "core/search_control.h"
 #include "index/precompute.h"
 #include "index/tree_index.h"
@@ -20,11 +19,9 @@ namespace topl {
 /// deadline, and can be cancelled cooperatively. When `parallel` is set the
 /// candidate-scoring stage additionally fans out in chunks over the
 /// engine's ThreadPool — final (non-truncated) answers stay byte-identical
-/// to the sequential path.
+/// to the sequential path. The TopL entry point runs the default
+/// QueryOptions; the DTopL one takes its toggles from DTopLOptions.
 struct ProgressiveOptions {
-  /// Algorithmic toggles forwarded to the detector (pruning rules).
-  QueryOptions query;
-
   /// Per-query wall-clock budget in seconds; 0 = unlimited. On expiry the
   /// query returns best-so-far with TopLResult::truncated set.
   double deadline_seconds = 0.0;
@@ -92,8 +89,8 @@ struct EngineOptions {
   /// persisting (ArtifactWriteOptions::compress).
   bool compress_artifact = false;
 
-  /// Worker threads for SearchBatch fan-out and Submit async serving;
-  /// 0 = hardware concurrency. Independent of the number of pooled detector
+  /// Worker threads for SearchBatch fan-out, parallel progressive scoring
+  /// and update maintenance; 0 = hardware concurrency. Independent of the number of pooled detector
   /// contexts, which grows with the peak number of concurrent queries.
   std::size_t num_threads = 0;
 

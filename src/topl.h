@@ -15,9 +15,9 @@
 /// \endcode
 ///
 /// Engine is the one serving facade. See engine/engine.h for batched
-/// (SearchBatch) and async (Submit) serving, and the individual headers
-/// below for the pipeline's building blocks (GraphBuilder / generators ->
-/// PrecomputedData -> TreeIndex -> detectors).
+/// (SearchBatch) and anytime (SearchProgressive) serving, and the
+/// individual headers below for the pipeline's building blocks
+/// (GraphBuilder / generators -> PrecomputedData -> TreeIndex -> detectors).
 
 #include "baselines/atindex.h"
 #include "baselines/im_greedy.h"

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -243,26 +242,6 @@ TEST_F(EngineTest, SearchBatchMatchesPerSlotSearch) {
     ASSERT_TRUE(expected.ok());
     ExpectSameCommunities(batch[i]->communities, expected->communities);
   }
-}
-
-TEST_F(EngineTest, SubmitResolvesFuturesToSameAnswers) {
-  std::vector<std::future<Result<TopLResult>>> futures;
-  for (const Query& query : world_->queries) {
-    futures.push_back(world_->engine->Submit(query));
-  }
-  std::future<Result<DTopLResult>> diversified = world_->engine->SubmitDiversified(
-      world_->queries.front(), DiversifiedOptions());
-
-  TopLDetector reference(world_->graph, world_->index.pre(), world_->index.tree);
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    Result<TopLResult> actual = futures[i].get();
-    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
-    Result<TopLResult> expected = reference.Search(world_->queries[i]);
-    ASSERT_TRUE(expected.ok());
-    ExpectSameCommunities(actual->communities, expected->communities);
-  }
-  Result<DTopLResult> dtopl = diversified.get();
-  ASSERT_TRUE(dtopl.ok()) << dtopl.status().ToString();
 }
 
 TEST_F(EngineTest, StatsAggregateAcrossQueries) {
@@ -541,12 +520,11 @@ TEST_F(EngineTest, ProgressiveDiversifiedMatchesPlainSearch) {
 
 TEST_F(EngineTest, ProgressiveDiversifiedHonorsPruningToggles) {
   // The progressive path must take its pruning toggles from
-  // DTopLOptions::topl_options, exactly like SearchDiversified — not from
-  // ProgressiveOptions::query. Keyword pruning fires on every workload
-  // query, so with it disabled (and parallelism off, making the traversal
-  // identical to the plain path) the refinement counters must match the
-  // plain path's non-default-toggle run exactly — and visibly exceed the
-  // default-toggle run.
+  // DTopLOptions::topl_options, exactly like SearchDiversified. Keyword
+  // pruning fires on every workload query, so with it disabled (and
+  // parallelism off, making the traversal identical to the plain path) the
+  // refinement counters must match the plain path's non-default-toggle run
+  // exactly — and visibly exceed the default-toggle run.
   DTopLOptions no_keyword_pruning = DiversifiedOptions();
   no_keyword_pruning.topl_options.use_keyword_pruning = false;
   ProgressiveOptions sequential;

@@ -100,16 +100,16 @@ TEST(CacheKeyTest, PermutedAndDuplicatedKeywordsShareOneKey) {
   Query duplicated = canonical;
   duplicated.keywords = {5, 9, 1, 5, 9, 9};
 
-  const CacheKey base = CacheKey::ForTopL(canonical, QueryOptions());
+  const CacheKey base = CacheKey::For(canonical, QueryOptions());
   for (const Query& variant : {permuted, duplicated}) {
-    const CacheKey key = CacheKey::ForTopL(variant, QueryOptions());
+    const CacheKey key = CacheKey::For(variant, QueryOptions());
     EXPECT_EQ(key, base);
     EXPECT_EQ(key.Hash(), base.Hash());
     EXPECT_EQ(key.keywords, (std::vector<KeywordId>{1, 5, 9}));
   }
 
-  const CacheKey d_base = CacheKey::ForDTopL(canonical, DTopLOptions());
-  const CacheKey d_permuted = CacheKey::ForDTopL(permuted, DTopLOptions());
+  const CacheKey d_base = CacheKey::For(canonical, DTopLOptions());
+  const CacheKey d_permuted = CacheKey::For(permuted, DTopLOptions());
   EXPECT_EQ(d_permuted, d_base);
   EXPECT_EQ(d_permuted.Hash(), d_base.Hash());
   // TopL and DTopL keys of the same query never collide.
@@ -120,40 +120,40 @@ TEST(CacheKeyTest, EveryQueryDimensionSeparatesKeys) {
   const Query base = MakeQuery({1, 5, 9}, 4, 2, 0.2, 5);
 
   std::vector<CacheKey> keys;
-  keys.push_back(CacheKey::ForTopL(base, QueryOptions()));
+  keys.push_back(CacheKey::For(base, QueryOptions()));
   Query q = base;
   q.k = 5;
-  keys.push_back(CacheKey::ForTopL(q, QueryOptions()));
+  keys.push_back(CacheKey::For(q, QueryOptions()));
   q = base;
   q.radius = 1;
-  keys.push_back(CacheKey::ForTopL(q, QueryOptions()));
+  keys.push_back(CacheKey::For(q, QueryOptions()));
   q = base;
   q.theta = 0.3;
-  keys.push_back(CacheKey::ForTopL(q, QueryOptions()));
+  keys.push_back(CacheKey::For(q, QueryOptions()));
   q = base;
   q.top_l = 3;
-  keys.push_back(CacheKey::ForTopL(q, QueryOptions()));
+  keys.push_back(CacheKey::For(q, QueryOptions()));
   q = base;
   q.keywords = {1, 5};
-  keys.push_back(CacheKey::ForTopL(q, QueryOptions()));
+  keys.push_back(CacheKey::For(q, QueryOptions()));
   // Pruning toggles select different executions; they key separately.
   QueryOptions options;
   options.use_score_pruning = false;
-  keys.push_back(CacheKey::ForTopL(base, options));
+  keys.push_back(CacheKey::For(base, options));
   options = QueryOptions();
-  options.use_reference_extraction = true;
-  keys.push_back(CacheKey::ForTopL(base, options));
+  options.use_center_truss_bound = false;
+  keys.push_back(CacheKey::For(base, options));
   // DTopL dimensions.
-  keys.push_back(CacheKey::ForDTopL(base, DTopLOptions()));
+  keys.push_back(CacheKey::For(base, DTopLOptions()));
   DTopLOptions dtopl;
   dtopl.n_factor = 3;
-  keys.push_back(CacheKey::ForDTopL(base, dtopl));
+  keys.push_back(CacheKey::For(base, dtopl));
   dtopl = DTopLOptions();
   dtopl.algorithm = DTopLAlgorithm::kGreedyWithoutPruning;
-  keys.push_back(CacheKey::ForDTopL(base, dtopl));
+  keys.push_back(CacheKey::For(base, dtopl));
   dtopl = DTopLOptions();
   dtopl.max_optimal_subsets = 123;
-  keys.push_back(CacheKey::ForDTopL(base, dtopl));
+  keys.push_back(CacheKey::For(base, dtopl));
 
   for (std::size_t i = 0; i < keys.size(); ++i) {
     for (std::size_t j = i + 1; j < keys.size(); ++j) {
@@ -183,12 +183,12 @@ TEST(QueryCacheTest, EpochBumpAloneKeepsCleanEntriesResident) {
   CacheFixture fx;
   QueryCache cache(QueryCache::Config{});
   const Query query = MakeQuery({0}, 3, 1, 0.2, 2);
-  const CacheKey key = CacheKey::ForTopL(query, QueryOptions());
+  const CacheKey key = CacheKey::For(query, QueryOptions());
 
   QueryCache::LookupResult lookup = cache.Lookup(key);
   ASSERT_TRUE(lookup.leader);
-  auto result = std::make_shared<TopLResult>();
-  cache.FillTopL(key, lookup.flight, /*executed_epoch=*/0, result);
+  auto result = std::make_shared<const TopLResult>();
+  cache.Fill(key, lookup.flight, /*executed_epoch=*/0, result);
   EXPECT_EQ(cache.counters().entries, 1u);
 
   // An update whose dirty region is empty must not flush anything — the
@@ -202,10 +202,10 @@ TEST(QueryCacheTest, EpochBumpAloneKeepsCleanEntriesResident) {
   // A fill whose execution started before the update is stale: published to
   // followers, never inserted.
   const Query other = MakeQuery({0}, 3, 1, 0.2, 3);
-  const CacheKey other_key = CacheKey::ForTopL(other, QueryOptions());
+  const CacheKey other_key = CacheKey::For(other, QueryOptions());
   QueryCache::LookupResult stale = cache.Lookup(other_key);
   ASSERT_TRUE(stale.leader);
-  cache.FillTopL(other_key, stale.flight, /*executed_epoch=*/0, result);
+  cache.Fill(other_key, stale.flight, /*executed_epoch=*/0, result);
   EXPECT_EQ(cache.counters().entries, 1u);
   EXPECT_FALSE(cache.Lookup(other_key).hit);
 }
@@ -213,13 +213,13 @@ TEST(QueryCacheTest, EpochBumpAloneKeepsCleanEntriesResident) {
 TEST(QueryCacheTest, TruncatedResultsAreNeverInserted) {
   QueryCache cache(QueryCache::Config{});
   const Query query = MakeQuery({0}, 3, 1, 0.2, 2);
-  const CacheKey key = CacheKey::ForTopL(query, QueryOptions());
+  const CacheKey key = CacheKey::For(query, QueryOptions());
 
   QueryCache::LookupResult lookup = cache.Lookup(key);
   ASSERT_TRUE(lookup.leader);
   auto truncated = std::make_shared<TopLResult>();
   truncated->truncated = true;
-  cache.FillTopL(key, lookup.flight, /*executed_epoch=*/0, truncated);
+  cache.Fill<TopLResult>(key, lookup.flight, /*executed_epoch=*/0, truncated);
   EXPECT_EQ(cache.counters().entries, 0u);
   EXPECT_FALSE(cache.Lookup(key).hit);
 }
@@ -227,7 +227,7 @@ TEST(QueryCacheTest, TruncatedResultsAreNeverInserted) {
 TEST(QueryCacheTest, SingleFlightCoalescesAndPropagatesFailure) {
   QueryCache cache(QueryCache::Config{});
   const Query query = MakeQuery({0}, 3, 1, 0.2, 2);
-  const CacheKey key = CacheKey::ForTopL(query, QueryOptions());
+  const CacheKey key = CacheKey::For(query, QueryOptions());
 
   QueryCache::LookupResult leader = cache.Lookup(key);
   ASSERT_TRUE(leader.leader);
@@ -250,8 +250,8 @@ TEST(QueryCacheTest, SingleFlightCoalescesAndPropagatesFailure) {
       answered.fetch_add(1);
     });
   }
-  auto result = std::make_shared<TopLResult>();
-  cache.FillTopL(key, leader.flight, /*executed_epoch=*/0, result);
+  auto result = std::make_shared<const TopLResult>();
+  cache.Fill(key, leader.flight, /*executed_epoch=*/0, result);
   for (std::thread& thread : followers) thread.join();
   EXPECT_EQ(answered.load(), 3);
   const QueryCache::Counters counters = cache.counters();
@@ -260,7 +260,7 @@ TEST(QueryCacheTest, SingleFlightCoalescesAndPropagatesFailure) {
 
   // A failed leader propagates its status; nothing is inserted.
   const Query failing = MakeQuery({7}, 3, 1, 0.2, 2);
-  const CacheKey failing_key = CacheKey::ForTopL(failing, QueryOptions());
+  const CacheKey failing_key = CacheKey::For(failing, QueryOptions());
   QueryCache::LookupResult fail_leader = cache.Lookup(failing_key);
   ASSERT_TRUE(fail_leader.leader);
   // Abandon unregisters the flight, so a lookup after it would become a

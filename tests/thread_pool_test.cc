@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
-#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -95,24 +94,24 @@ TEST(ThreadPoolTest, TaskGroupReusableAcrossWaitRounds) {
   }
 }
 
-TEST(ThreadPoolTest, TaskGroupNestedFanOutFromSubmitDoesNotDeadlock) {
-  // Saturate a tiny pool with Submit tasks that each fan out a nested
-  // TaskGroup on the *same* pool. Every queue worker is occupied by an outer
-  // task, so nested subtasks can only make progress through the help-first
-  // join — if Wait() merely blocked, this test would hang.
+TEST(ThreadPoolTest, TaskGroupNestedFanOutInsideSubtaskDoesNotDeadlock) {
+  // Saturate a tiny pool with subtasks that each fan out a nested TaskGroup
+  // on the *same* pool. Every queue worker is occupied by an outer subtask,
+  // so nested subtasks can only make progress through the help-first join —
+  // if Wait() merely blocked, this test would hang.
   ThreadPool pool(2);
   std::atomic<std::uint64_t> nested_sum{0};
-  std::vector<std::future<void>> outer;
+  ThreadPool::TaskGroup outer(&pool);
   for (int t = 0; t < 8; ++t) {
-    outer.push_back(pool.Submit([&pool, &nested_sum] {
+    outer.Spawn([&pool, &nested_sum] {
       ThreadPool::TaskGroup group(&pool);
       for (int i = 0; i < 20; ++i) {
         group.Spawn([&nested_sum] { nested_sum.fetch_add(1); });
       }
       group.Wait();
-    }));
+    });
   }
-  for (auto& f : outer) f.get();
+  outer.Wait();
   EXPECT_EQ(nested_sum.load(), 8u * 20u);
 }
 
@@ -130,44 +129,25 @@ TEST(ThreadPoolTest, TaskGroupPropagatesExceptions) {
   EXPECT_EQ(ran.load(), 10);  // one failure never cancels siblings
 }
 
-TEST(ThreadPoolTest, SubmitAfterShutdownThrowsTypedError) {
-  ThreadPool pool(2);
-  // Warm the lazy queue workers and prove normal service first.
-  EXPECT_EQ(pool.Submit([] { return 41 + 1; }).get(), 42);
-
-  pool.Shutdown();
-  EXPECT_TRUE(pool.is_shutdown());
-  pool.Shutdown();  // idempotent
-  EXPECT_TRUE(pool.is_shutdown());
-
-  std::atomic<bool> ran{false};
-  std::future<void> rejected = pool.Submit([&ran] { ran.store(true); });
-  // The rejected task never runs; its future resolves (never hangs) to the
-  // documented typed error.
-  try {
-    rejected.get();
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "ThreadPool is shut down");
-  }
-  EXPECT_FALSE(ran.load());
-}
-
-TEST(ThreadPoolTest, ShutdownDrainsAlreadyQueuedTasks) {
+TEST(ThreadPoolTest, ShutdownDrainsOfferedSubtasksAndGroupsStillRun) {
   ThreadPool pool(2);
   std::atomic<int> done{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 16; ++i) {
-    futures.push_back(pool.Submit([&done] { done.fetch_add(1); }));
-  }
-  pool.Shutdown();  // runs everything already accepted, then joins
-  for (auto& f : futures) f.get();  // none throws: all were accepted
+  ThreadPool::TaskGroup group(&pool);
+  for (int i = 0; i < 16; ++i) group.Spawn([&done] { done.fetch_add(1); });
+  pool.Shutdown();  // runs every subtask already offered, then joins
+  pool.Shutdown();  // idempotent
+  group.Wait();
   EXPECT_EQ(done.load(), 16);
-  EXPECT_EQ(pool.PendingTasks(), 0u);
+
+  // After shutdown nothing is offered to the (joined) workers; Wait() runs
+  // a group's subtasks on the calling thread instead of hanging.
+  for (int i = 0; i < 4; ++i) group.Spawn([&done] { done.fetch_add(1); });
+  group.Wait();
+  EXPECT_EQ(done.load(), 20);
 }
 
 TEST(ThreadPoolTest, ParallelForStillWorksAfterShutdown) {
-  // Shutdown only closes the Submit queue; the blocking data-parallel mode
+  // Shutdown only joins the queue workers; the blocking data-parallel mode
   // spawns per-call workers and keeps functioning (Engine::Shutdown relies
   // on this ordering independence).
   ThreadPool pool(3);

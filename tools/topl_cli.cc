@@ -98,25 +98,31 @@
 // The batch query file holds one query per line:
 //   <keywords-csv> [k] [r] [theta] [L] [dtopl]
 // e.g. "1,8,21 4 2 0.2 5" or "3,14 4 2 0.2 5 dtopl"; omitted fields fall
-// back to the command-line flag defaults, '#' starts a comment. The batch is
-// fanned out across the engine's worker pool, and cumulative EngineStats
+// back to the command-line flag defaults, '#' starts a comment. The TopL
+// lines are fanned out across the engine's worker pool (SearchBatch), the
+// DTopL lines run one by one (SearchDiversified), and cumulative EngineStats
 // (throughput, p50/p99 latency, prune counters) are printed at the end.
 //
 // Every subcommand refuses a flag it does not read (a misspelling, or one
-// from another subcommand) before it touches any file. All subcommands exit
-// non-zero with a Status message on failure.
+// from another subcommand) and a numeric flag whose value is not a plain
+// unsigned number in range (--threads=-1, --k=4x) before it touches any
+// file. All subcommands exit non-zero with a Status message on failure.
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
 #include <map>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "topl.h"
@@ -154,20 +160,63 @@ constexpr const char* kQueryFlags[] = {"keywords", "k", "r", "theta", "L"};
 constexpr const char* kDTopLFlags[] = {"n", "algorithm"};
 constexpr const char* kBudgetFlags[] = {"deadline-ms", "progressive", "chunk"};
 
+// Numeric flags, read with IntFlag / DoubleFlag. Integers are plain
+// decimal digits (no sign, no trailing junk) that fit 32 bits, or 64 for
+// --seed; reals are finite unsigned decimals.
+constexpr const char* kIntegerFlags[] = {
+    "keywords-per-vertex", "domain", "vertices", "seed", "rmax", "threads",
+    "k", "r", "L", "cache-max-mb", "n", "chunk", "repeat", "signatures",
+    "workers", "ops"};
+constexpr const char* kRealFlags[] = {
+    "theta", "deadline-ms", "zipf", "qps", "seconds", "warmup-seconds",
+    "slo-qps", "slo-p99-ms", "slo-p999-ms"};
+
+bool Listed(FlagNames names, const std::string& key) {
+  return std::any_of(names.begin(), names.end(),
+                     [&](const char* name) { return key == name; });
+}
+
+// A numeric flag's value (T = std::uint64_t or double); nullopt when
+// malformed or out of range.
+template <typename T>
+std::optional<T> ParseNumber(const std::string& key, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || text[0] == '-' || ec != std::errc() || ptr != end) {
+    return std::nullopt;
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  } else if (key != "seed" && value > UINT32_MAX) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 // Refuses the first flag `command` does not read, so a misspelled or retired
-// flag fails loudly instead of being ignored. Every subcommand calls this
-// before it touches a file.
+// flag fails loudly instead of being ignored, and then the first numeric
+// flag whose value does not parse. Every subcommand calls this before it
+// touches a file.
 Status CheckFlags(const std::map<std::string, std::string>& flags,
                   const std::string& command,
                   std::initializer_list<FlagNames> accepted) {
   for (const auto& entry : flags) {
     bool known = false;
-    for (FlagNames names : accepted) {
-      for (const char* name : names) known = known || entry.first == name;
-    }
+    for (FlagNames names : accepted) known = known || Listed(names, entry.first);
     if (!known) {
       return Status::InvalidArgument(command + " does not take --" +
                                      entry.first);
+    }
+  }
+  for (const auto& [key, value] : flags) {
+    const bool integer = Listed(kIntegerFlags, key);
+    if ((integer && !ParseNumber<std::uint64_t>(key, value)) ||
+        (Listed(kRealFlags, key) && !ParseNumber<double>(key, value))) {
+      return Status::InvalidArgument(
+          "--" + key + " needs an unsigned " +
+          (integer ? "integer" : "finite number") + " in range, got '" +
+          value + "'");
     }
   }
   return Status::OK();
@@ -179,26 +228,33 @@ std::string FlagOr(const std::map<std::string, std::string>& flags,
   return it == flags.end() ? fallback : it->second;
 }
 
+// The numeric readers take only values CheckFlags has accepted; a flag
+// missing from kIntegerFlags / kRealFlags throws on a malformed value.
 std::uint64_t IntFlag(const std::map<std::string, std::string>& flags,
                       const std::string& key, std::uint64_t fallback) {
   auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::strtoull(it->second.c_str(), nullptr, 10);
+  return it == flags.end() ? fallback
+                           : ParseNumber<std::uint64_t>(key, it->second).value();
 }
 
 double DoubleFlag(const std::map<std::string, std::string>& flags,
                   const std::string& key, double fallback) {
   auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  return it == flags.end() ? fallback : ParseNumber<double>(key, it->second).value();
 }
 
-std::vector<KeywordId> ParseKeywordList(const std::string& csv) {
+// Sorted, deduplicated keyword ids from a comma-separated list; each id is
+// parsed like an integer flag.
+Result<std::vector<KeywordId>> ParseKeywordList(const std::string& csv) {
   std::vector<KeywordId> out;
   std::size_t pos = 0;
   while (pos < csv.size()) {
     const std::size_t comma = csv.find(',', pos);
     const std::string token = csv.substr(pos, comma - pos);
     if (!token.empty()) {
-      out.push_back(static_cast<KeywordId>(std::strtoul(token.c_str(), nullptr, 10)));
+      const std::optional<std::uint64_t> id = ParseNumber<std::uint64_t>("", token);
+      if (!id) return Status::InvalidArgument("malformed keyword id: " + token);
+      out.push_back(static_cast<KeywordId>(*id));
     }
     if (comma == std::string::npos) break;
     pos = comma + 1;
@@ -595,7 +651,10 @@ int CmdStats(const std::map<std::string, std::string>& flags) {
 
 Result<Query> BuildQuery(const std::map<std::string, std::string>& flags) {
   Query query;
-  query.keywords = ParseKeywordList(FlagOr(flags, "keywords", ""));
+  Result<std::vector<KeywordId>> keywords =
+      ParseKeywordList(FlagOr(flags, "keywords", ""));
+  if (!keywords.ok()) return keywords.status();
+  query.keywords = std::move(*keywords);
   query.k = static_cast<std::uint32_t>(IntFlag(flags, "k", 4));
   query.radius = static_cast<std::uint32_t>(IntFlag(flags, "r", 2));
   query.theta = DoubleFlag(flags, "theta", 0.2);
@@ -671,10 +730,13 @@ int CmdQuery(const std::map<std::string, std::string>& flags, bool diversified) 
                   : CheckFlags(flags, "query",
                                {kEngineFlags, kQueryFlags, kBudgetFlags});
   if (!flags_ok.ok()) return Fail(flags_ok);
-  Result<std::unique_ptr<Engine>> engine = OpenEngine(flags);
-  if (!engine.ok()) return Fail(engine.status());
   Result<Query> query = BuildQuery(flags);
   if (!query.ok()) return Fail(query.status());
+  // `query` refuses --n / --algorithm, so it always gets the defaults here.
+  Result<DTopLOptions> options = BuildDTopLOptions(flags);
+  if (!options.ok()) return Fail(options.status());
+  Result<std::unique_ptr<Engine>> engine = OpenEngine(flags);
+  if (!engine.ok()) return Fail(engine.status());
 
   const double deadline_ms = DoubleFlag(flags, "deadline-ms", 0.0);
   const bool progressive = FlagOr(flags, "progressive", "0") == "1";
@@ -711,8 +773,6 @@ int CmdQuery(const std::map<std::string, std::string>& flags, bool diversified) 
     return 0;
   }
 
-  Result<DTopLOptions> options = BuildDTopLOptions(flags);
-  if (!options.ok()) return Fail(options.status());
   Result<DTopLResult> answer =
       controlled
           ? (*engine)->SearchDiversifiedProgressive(*query, *options, prog,
@@ -752,15 +812,16 @@ Result<std::vector<BatchEntry>> ParseQueryFile(
 
     BatchEntry entry;
     entry.query = defaults;
-    entry.query.keywords = ParseKeywordList(keywords);
+    Result<std::vector<KeywordId>> ids = ParseKeywordList(keywords);
+    std::string bad = ids.ok() ? "" : ids.status().message();
+    if (ids.ok()) entry.query.keywords = std::move(*ids);
     std::string token;
     int field = 0;
-    std::string bad;
     const auto parse_u32 = [&](std::uint32_t* out) {
-      char* end = nullptr;
-      const unsigned long value = std::strtoul(token.c_str(), &end, 10);
-      if (end == token.c_str() || *end != '\0') bad = "malformed integer: " + token;
-      *out = static_cast<std::uint32_t>(value);
+      const std::optional<std::uint64_t> value =
+          ParseNumber<std::uint64_t>("", token);
+      if (!value) bad = "malformed integer: " + token;
+      *out = static_cast<std::uint32_t>(value.value_or(0));
     };
     while (bad.empty() && tokens >> token) {
       if (token == "dtopl") {
@@ -771,9 +832,9 @@ Result<std::vector<BatchEntry>> ParseQueryFile(
         case 0: parse_u32(&entry.query.k); break;
         case 1: parse_u32(&entry.query.radius); break;
         case 2: {
-          char* end = nullptr;
-          entry.query.theta = std::strtod(token.c_str(), &end);
-          if (end == token.c_str() || *end != '\0') bad = "malformed number: " + token;
+          const std::optional<double> theta = ParseNumber<double>("", token);
+          if (!theta) bad = "malformed number: " + token;
+          entry.query.theta = theta.value_or(0.0);
           break;
         }
         case 3: parse_u32(&entry.query.top_l); break;
@@ -818,15 +879,15 @@ int CmdBatch(const std::map<std::string, std::string>& flags) {
     return Fail(Status::InvalidArgument("query file has no queries: " + queries_path));
   }
 
-  Result<std::unique_ptr<Engine>> engine = OpenEngine(flags);
-  if (!engine.ok()) return Fail(engine.status());
   Result<DTopLOptions> dtopl_options = BuildDTopLOptions(flags);
   if (!dtopl_options.ok()) return Fail(dtopl_options.status());
+  Result<std::unique_ptr<Engine>> engine = OpenEngine(flags);
+  if (!engine.ok()) return Fail(engine.status());
   const std::uint64_t repeat = IntFlag(flags, "repeat", 1);
   const bool quiet = FlagOr(flags, "quiet", "0") == "1";
 
   // TopL lines go through SearchBatch (one engine fan-out per repeat);
-  // DTopL lines are submitted async and collected afterwards.
+  // DTopL lines run through SearchDiversified afterwards.
   std::vector<Query> topl_queries;
   std::vector<std::size_t> topl_lines;
   std::vector<std::pair<std::size_t, const Query*>> dtopl_queries;
@@ -842,12 +903,6 @@ int CmdBatch(const std::map<std::string, std::string>& flags) {
   Timer wall;
   for (std::uint64_t round = 0; round < repeat; ++round) {
     const bool report = !quiet && round == 0;
-    std::vector<std::future<Result<DTopLResult>>> dtopl_futures;
-    dtopl_futures.reserve(dtopl_queries.size());
-    for (const auto& [line, query] : dtopl_queries) {
-      dtopl_futures.push_back(
-          (*engine)->SubmitDiversified(*query, *dtopl_options));
-    }
     std::vector<Result<TopLResult>> answers =
         (*engine)->SearchBatch(topl_queries);
     for (std::size_t i = 0; i < answers.size(); ++i) {
@@ -864,17 +919,17 @@ int CmdBatch(const std::map<std::string, std::string>& flags) {
                         : answers[i]->communities.front().score());
       }
     }
-    for (std::size_t i = 0; i < dtopl_futures.size(); ++i) {
-      Result<DTopLResult> answer = dtopl_futures[i].get();
+    for (const auto& [line, query] : dtopl_queries) {
+      Result<DTopLResult> answer =
+          (*engine)->SearchDiversified(*query, *dtopl_options);
       if (!answer.ok()) {
-        std::fprintf(stderr, "query %zu failed: %s\n",
-                     dtopl_queries[i].first + 1,
+        std::fprintf(stderr, "query %zu failed: %s\n", line + 1,
                      answer.status().ToString().c_str());
         continue;
       }
       if (report) {
         std::printf("query %zu (dtopl): %zu communities, D(S)=%.3f\n",
-                    dtopl_queries[i].first + 1, answer->communities.size(),
+                    line + 1, answer->communities.size(),
                     answer->diversity_score);
       }
     }
